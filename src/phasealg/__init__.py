@@ -42,7 +42,7 @@ from .invariants import (
 )
 from .parser import parse_expression
 from .poly import PhasePoly, format_poly, partial_derivative
-from .rational import Rational, rat, rat_str
+from .rational import rat
 from .separation import (
     CanonicalMap,
     CanonicalReport,
@@ -92,7 +92,6 @@ __all__ = [
     "PhaseContext",
     "PhasePoly",
     "PotentialSpec",
-    "Rational",
     "SIGN_CONVENTION_NOTE",
     "SeparationFailure",
     "SeparationReport",
@@ -118,7 +117,6 @@ __all__ = [
     "partial_derivative",
     "poisson_bracket",
     "rat",
-    "rat_str",
     "read_tabulated",
     "separate_hamiltonian",
     "span_reduce",

@@ -34,9 +34,15 @@ from .context import PhaseContext
 from .errors import NonClosingError, ParseError, PhaseAlgError, SeparationFailure
 from .invariants import find_casimir, find_center, verify_invariant
 from .parser import parse_expression
-from .poly import PhasePoly, format_poly
-from .rational import rat, rat_str
-from .separation import jacobi_transform, separate_hamiltonian, two_body_transform, verify_canonical
+from .poly import format_poly
+from .rational import rat
+from .separation import (
+    jacobi_transform,
+    kinetic_energy,
+    separate_hamiltonian,
+    two_body_transform,
+    verify_canonical,
+)
 from .spectra import (
     BoxLevel,
     box_potential,
@@ -96,7 +102,6 @@ class Problem:
         self.max_basis = int(options["max_basis"])
         self.max_degree = int(options["max_degree"])
         self.center_degree = int(options["center_degree"])
-        self.f_of_m = str(options["f_of_M"])
         self.options = options
 
     def apply_overrides(self, pairs: list[str]) -> None:
@@ -121,7 +126,7 @@ class Problem:
         return {
             "source": self.origin,
             "dof": self.dof,
-            "params": {k: rat_str(v) for k, v in self.params.items()},
+            "params": {k: str(v) for k, v in self.params.items()},
             "generators": dict(self.generators),
             "options": {k: str(v) for k, v in self.options.items()},
             "overrides": list(overrides),
@@ -155,7 +160,7 @@ def load_problem(spec_arg: str) -> Problem:
 
 def _jsonable(value):
     if isinstance(value, Fraction):
-        return rat_str(value)
+        return str(value)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -185,18 +190,22 @@ def _closure_payload(closure) -> dict:
             for e in closure.basis
         ],
         "structure_constants": [
-            [names[i], names[j], names[k], rat_str(c)]
+            [names[i], names[j], names[k], str(c)]
             for i, j, k, c in structure_constants(closure)
         ],
     }
 
 
-def cmd_close(args) -> int:
+def _close_and_report(args, command: str, fill) -> int:
+    """Load, override and close the problem, then write the report.
+
+    ``fill(args, problem, closure, report)`` adds the command's own entries.  An
+    algebra that does not close gets a diagnostics report and exit code 3.
+    """
     problem = load_problem(args.problem)
     problem.apply_overrides(args.set or [])
-    ctx = problem.context()
-    seeds = problem.seeds(ctx)
-    report = {"command": "close", "problem": problem.echo(args.set or [])}
+    seeds = problem.seeds(problem.context())
+    report = {"command": command, "problem": problem.echo(args.set or [])}
     try:
         closure = close_algebra(
             seeds,
@@ -212,37 +221,21 @@ def cmd_close(args) -> int:
         )
         _emit(report, args.output)
         return 3
-    report.update(
-        status="ok",
-        closure=_closure_payload(closure),
-        diagnostics=convention_notes(closure),
-        exit_code=0,
-    )
+    fill(args, problem, closure, report)
+    report.update(diagnostics=convention_notes(closure), exit_code=0)
     _emit(report, args.output)
     return 0
 
 
-def cmd_invariants(args) -> int:
-    problem = load_problem(args.problem)
-    problem.apply_overrides(args.set or [])
-    ctx = problem.context()
-    seeds = problem.seeds(ctx)
-    report = {"command": "invariants", "problem": problem.echo(args.set or [])}
-    try:
-        closure = close_algebra(
-            seeds,
-            bracket_kind=problem.bracket,
-            max_basis=problem.max_basis,
-            max_degree=problem.max_degree,
-        )
-    except NonClosingError as exc:
-        report.update(
-            status="non-closing",
-            diagnostics=[str(exc), SIGN_CONVENTION_NOTE],
-            exit_code=3,
-        )
-        _emit(report, args.output)
-        return 3
+def _close_entries(args, problem, closure, report: dict) -> None:
+    report.update(status="ok", closure=_closure_payload(closure))
+
+
+def cmd_close(args) -> int:
+    return _close_and_report(args, "close", _close_entries)
+
+
+def _invariant_entries(args, problem, closure, report: dict) -> None:
     report["closure"] = _closure_payload(closure)
 
     want_casimir = args.casimir or not (args.casimir or args.center)
@@ -256,13 +249,13 @@ def cmd_invariants(args) -> int:
             entries.append(
                 {
                     "quadratic": {
-                        f"{gnames[i]}*{gnames[j]}": rat_str(v)
+                        f"{gnames[i]}*{gnames[j]}": str(v)
                         for (i, j), v in sorted(sol.quadratic.items())
                     },
                     "linear": {
-                        gnames[i]: rat_str(v) for i, v in sorted(sol.linear.items())
+                        gnames[i]: str(v) for i, v in sorted(sol.linear.items())
                     },
-                    "constant": rat_str(sol.constant),
+                    "constant": str(sol.constant),
                     "realization": format_poly(sol.realization),
                     "trivial": sol.trivial,
                     "verified": verify_invariant(sol.realization, closure).passed,
@@ -293,10 +286,9 @@ def cmd_invariants(args) -> int:
             )
         report["center"] = payload
 
-    report["diagnostics"] = convention_notes(closure)
-    report["exit_code"] = 0
-    _emit(report, args.output)
-    return 0
+
+def cmd_invariants(args) -> int:
+    return _close_and_report(args, "invariants", _invariant_entries)
 
 
 def _spectrum_levels(rep) -> list[dict]:
@@ -376,15 +368,6 @@ def cmd_spectrum_composite(args) -> int:
     return 0
 
 
-def _default_kinetic(ctx: PhaseContext, masses, dim: int) -> PhasePoly:
-    h = PhasePoly.zero(ctx)
-    for i, m in enumerate(masses):
-        for c in range(dim):
-            pvar = PhasePoly.variable(ctx, ctx.dof + i * dim + c)
-            h = h + pvar * pvar / (2 * m)
-    return h
-
-
 def cmd_separate(args) -> int:
     masses = [rat(v) for v in args.masses.split(",") if v != ""]
     if len(masses) < 2:
@@ -400,12 +383,12 @@ def cmd_separate(args) -> int:
     if args.expr:
         h = parse_expression(args.expr, ctx)
     else:
-        h = _default_kinetic(ctx, masses, args.dim)
+        h = kinetic_energy(ctx, dict(enumerate(masses)), args.dim)
     report = {
         "command": "separate",
         "kind": kind,
         "dim": args.dim,
-        "masses": [rat_str(m) for m in masses],
+        "masses": [str(m) for m in masses],
         "position_labels": list(cmap.position_labels),
         "momentum_labels": list(cmap.momentum_labels),
         "position_matrix": _jsonable(cmap.a),
@@ -439,8 +422,8 @@ def cmd_separate(args) -> int:
             "cm_is_free_kinetic": sep.cm_is_free_kinetic,
             "relative_kinetic_ok": sep.relative_kinetic_ok,
             "reassembly_ok": sep.reassembly_ok,
-            "total_mass": rat_str(sep.total_mass),
-            "reduced_mass": None if sep.reduced_mass is None else rat_str(sep.reduced_mass),
+            "total_mass": str(sep.total_mass),
+            "reduced_mass": None if sep.reduced_mass is None else str(sep.reduced_mass),
         },
         diagnostics=[],
         exit_code=0,

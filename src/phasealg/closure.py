@@ -75,6 +75,19 @@ class _Echelon:
         self.rows[head] = (reduced, coords)
 
 
+def _span(basis: Sequence[AlgebraElement]) -> _Echelon:
+    """Echelon of the basis polynomials, coordinates kept over ``basis``."""
+    ech = _Echelon()
+    for j, elem in enumerate(basis):
+        coords, rem = ech.reduce(elem.poly)
+        if rem.is_zero():
+            continue  # linearly dependent basis entry, spans nothing new
+        combo = {i: -c for i, c in coords.items()}
+        combo[j] = combo.get(j, Fraction(0)) + 1
+        ech.add(rem, combo)
+    return ech
+
+
 def span_reduce(
     p: PhasePoly, basis: Sequence[AlgebraElement]
 ) -> tuple[list[Fraction], PhasePoly]:
@@ -86,15 +99,7 @@ def span_reduce(
     """
     for elem in basis:
         p.ctx.require_same(elem.poly.ctx)
-    ech = _Echelon()
-    for j, elem in enumerate(basis):
-        coords, rem = ech.reduce(elem.poly)
-        if rem.is_zero():
-            continue  # linearly dependent basis entry, spans nothing new
-        combo = {i: -c for i, c in coords.items()}
-        combo[j] = combo.get(j, Fraction(0)) + 1
-        ech.add(rem, combo)
-    coords, rem = ech.reduce(p)
+    coords, rem = _span(basis).reduce(p)
     return [coords.get(i, Fraction(0)) for i in range(len(basis))], rem
 
 
@@ -137,31 +142,40 @@ class LieClosure:
     def verify(self) -> bool:
         """Recompute every pairwise bracket and check it reduces exactly."""
         n = len(self.basis)
+        span = _span(self.basis)
         for i in range(n):
             for j in range(i + 1, n):
                 br = self.bracket(self.basis[i].poly, self.basis[j].poly)
-                coords, rem = span_reduce(br, self.basis)
+                coords, rem = span.reduce(br)
                 if not rem.is_zero():
                     return False
                 for k in range(n):
-                    if coords[k] != self.structure_constant(i, j, k):
+                    if coords.get(k, Fraction(0)) != self.structure_constant(i, j, k):
                         return False
         return True
 
     def check_jacobi_tensor(self) -> bool:
-        """Jacobi identity as a pure structure-constant contraction."""
+        """Jacobi identity as a contraction over the nonzero structure constants.
+
+        For every i < j < k and every l,
+        sum_m c[i][j][m] c[m][k][l] + c[j][k][m] c[m][i][l] + c[k][i][m] c[m][j][l] = 0.
+        """
+        table: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for (i, j, k), c in self.structure.items():
+            if c:
+                table.setdefault((i, j), {})[k] = c
+                table.setdefault((j, i), {})[k] = -c
         n = len(self.basis)
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    for l in range(n):
-                        total = Fraction(0)
-                        for m in range(n):
-                            total += self.structure_constant(i, j, m) * self.structure_constant(m, k, l)
-                            total += self.structure_constant(j, k, m) * self.structure_constant(m, i, l)
-                            total += self.structure_constant(k, i, m) * self.structure_constant(m, j, l)
-                        if total != 0:
-                            return False
+                    total: dict[int, Fraction] = {}
+                    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                        for m, c1 in table.get((x, y), {}).items():
+                            for l, c2 in table.get((m, z), {}).items():
+                                total[l] = total.get(l, Fraction(0)) + c1 * c2
+                    if any(total.values()):
+                        return False
         return True
 
 

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .context import PhaseContext
-from .errors import DegreeBudgetError
 from .rational import rat
 
 Expvec = tuple[int, ...]
@@ -318,33 +317,6 @@ def format_poly(p: PhasePoly) -> str:
         else:
             parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
     return " ".join(parts)
-
-
-def combine(op: str, a: PhasePoly, b=None) -> PhasePoly:
-    """Apply a ring operation by name.
-
-    ``op`` is one of add/sub/mul/scale/pow; ``b`` is a polynomial for
-    add/sub/mul, a rational for scale, a nonnegative int for pow.  ``pow``
-    enforces the context's total-degree budget.
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "scale":
-        return a * rat(b)
-    if op == "pow":
-        if not isinstance(b, int) or b < 0:
-            raise ValueError("pow exponent must be a nonnegative integer")
-        deg = a.total_degree()
-        if deg > 0 and deg * b > a.ctx.max_degree:
-            raise DegreeBudgetError(
-                f"pow result degree {deg * b} exceeds budget {a.ctx.max_degree}"
-            )
-        return a**b
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def partial_derivative(p: PhasePoly, var: str | int) -> PhasePoly:

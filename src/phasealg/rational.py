@@ -3,17 +3,13 @@
 All symbolic coefficients in this package are `fractions.Fraction` values:
 arbitrary-precision, always normalized (gcd(|num|, den) = 1, den > 0,
 zero stored as 0/1), which is exactly the invariant the algebra layer needs.
-This module only adds conversion and formatting helpers around it.
+This module only adds a conversion helper around it; ``str`` gives the
+canonical text form (``p`` for integers, ``p/q`` otherwise).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-Rational = Fraction
-
-_ALLOWED = (Fraction, int)
-
 
 def rat(value: int | str | Fraction, den: int | None = None) -> Fraction:
     """Coerce ``value`` to an exact Fraction.
@@ -35,7 +31,3 @@ def rat(value: int | str | Fraction, den: int | None = None) -> Fraction:
             raise ValueError(f"not an exact rational: {value!r}") from exc
     raise TypeError(f"cannot build an exact rational from {type(value).__name__}")
 
-
-def rat_str(value: Fraction) -> str:
-    """Canonical text form: ``p`` for integers, ``p/q`` otherwise."""
-    return str(value)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .brackets import poisson_bracket
 from .context import PhaseContext
@@ -28,6 +28,10 @@ from .poly import PhasePoly
 from .rational import rat
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+
+
+def _transpose(matrix: Matrix) -> Matrix:
+    return tuple(zip(*matrix))
 
 
 def _check_masses(masses: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -71,26 +75,41 @@ class CanonicalMap:
         base = labels[row]
         return base if self.d == 1 else f"{base}_{component + 1}"
 
-    def _images(self, matrix: Matrix, ctx: PhaseContext, momentum: bool):
-        """Per-row, per-component linear combinations of old variables."""
-        offset = ctx.dof if momentum else 0
-        polys = []
-        for row in matrix:
-            per_component = []
-            for c in range(self.d):
+    def _images(self, matrix: Matrix, ctx: PhaseContext, offset: int) -> dict[int, PhasePoly]:
+        """Linear images ``offset + row*d + c -> sum_i matrix[row][i] * x_(offset + i*d + c)``.
+
+        ``offset`` is 0 for positions and ``ctx.dof`` for momenta.
+        """
+        d = self.d
+        images: dict[int, PhasePoly] = {}
+        for row, coeffs in enumerate(matrix):
+            for c in range(d):
                 p = PhasePoly.zero(ctx)
-                for i, coeff in enumerate(row):
+                for i, coeff in enumerate(coeffs):
                     if coeff:
-                        p = p + PhasePoly.variable(ctx, offset + i * self.d + c) * coeff
-                per_component.append(p)
-            polys.append(tuple(per_component))
-        return tuple(polys)
+                        p = p + PhasePoly.variable(ctx, offset + i * d + c) * coeff
+                images[offset + row * d + c] = p
+        return images
+
+    def _rows(self, images: dict[int, PhasePoly], offset: int):
+        d = self.d
+        return tuple(
+            tuple(images[offset + row * d + c] for c in range(d))
+            for row in range(self.n_bodies)
+        )
 
     def new_position_polys(self, ctx: PhaseContext):
-        return self._images(self.a, ctx, momentum=False)
+        return self._rows(self._images(self.a, ctx, 0), 0)
 
     def new_momentum_polys(self, ctx: PhaseContext):
-        return self._images(self.b, ctx, momentum=True)
+        return self._rows(self._images(self.b, ctx, ctx.dof), ctx.dof)
+
+    def _forward_images(self, old_ctx: PhaseContext) -> dict[int, PhasePoly]:
+        """New variables expressed in the old ones."""
+        return {
+            **self._images(self.a, old_ctx, 0),
+            **self._images(self.b, old_ctx, old_ctx.dof),
+        }
 
     def old_variable_images(self, new_ctx: PhaseContext) -> dict[int, PhasePoly]:
         """Old variables expressed in the new ones (the inverse map).
@@ -98,25 +117,10 @@ class CanonicalMap:
         Old positions are ``B^T @ new positions`` and old momenta are
         ``A^T @ new momenta``, both exact.
         """
-        n, d = self.n_bodies, self.d
-        images: dict[int, PhasePoly] = {}
-        for i in range(n):
-            for c in range(d):
-                pos = PhasePoly.zero(new_ctx)
-                mom = PhasePoly.zero(new_ctx)
-                for row in range(n):
-                    if self.b[row][i]:
-                        pos = pos + (
-                            PhasePoly.variable(new_ctx, row * d + c) * self.b[row][i]
-                        )
-                    if self.a[row][i]:
-                        mom = mom + (
-                            PhasePoly.variable(new_ctx, new_ctx.dof + row * d + c)
-                            * self.a[row][i]
-                        )
-                images[i * d + c] = pos
-                images[new_ctx.dof + i * d + c] = mom
-        return images
+        return {
+            **self._images(_transpose(self.b), new_ctx, 0),
+            **self._images(_transpose(self.a), new_ctx, new_ctx.dof),
+        }
 
 
 def two_body_transform(m1, m2, d: int = 3) -> CanonicalMap:
@@ -161,8 +165,7 @@ def jacobi_transform(masses: Sequence, d: int = 3) -> CanonicalMap:
         rows.append(tuple(row))
     rows.append(tuple(m / total for m in ms))
     a = tuple(rows)
-    at = [[a[r][c] for r in range(n)] for c in range(n)]
-    b = tuple(tuple(row) for row in invert(at))
+    b = tuple(tuple(row) for row in invert(_transpose(a)))
     return CanonicalMap(
         d=d,
         n_bodies=n,
@@ -172,6 +175,19 @@ def jacobi_transform(masses: Sequence, d: int = 3) -> CanonicalMap:
         position_labels=tuple(f"r{k}" for k in range(1, n)) + ("R",),
         momentum_labels=tuple(f"p{k}" for k in range(1, n)) + ("P",),
     )
+
+
+def kinetic_energy(ctx: PhaseContext, masses: Mapping[int, Fraction], d: int) -> PhasePoly:
+    """Sum over rows of |p_row|^2 / 2m_row, for ``masses`` given as ``{row: m}``.
+
+    Row ``r`` owns the momenta ``p_(r*d + 1) .. p_(r*d + d)``.
+    """
+    h = PhasePoly.zero(ctx)
+    for row, m in masses.items():
+        for c in range(d):
+            pvar = PhasePoly.variable(ctx, ctx.dof + row * d + c)
+            h = h + pvar * pvar / (2 * m)
+    return h
 
 
 @dataclass(frozen=True)
@@ -279,19 +295,12 @@ def separate_hamiltonian(h: PhasePoly, cmap: CanonicalMap):
         raise SeparationFailure(mixed)
 
     total = cmap.total_mass
-    free = PhasePoly.zero(new_ctx)
-    for c in range(cmap.d):
-        pvar = PhasePoly.variable(new_ctx, new_ctx.dof + cm_first + c)
-        free = free + pvar * pvar / (2 * total)
+    free = kinetic_energy(new_ctx, {cmap.cm_row: total}, cmap.d)
     reduced = None
     rel_ok = None
     if cmap.n_bodies == 2:
         m1, m2 = cmap.masses
         reduced = m1 * m2 / total
-        rel_kin = PhasePoly.zero(new_ctx)
-        for c in range(cmap.d):
-            pvar = PhasePoly.variable(new_ctx, new_ctx.dof + c)
-            rel_kin = rel_kin + pvar * pvar / (2 * reduced)
         kinetic_part = PhasePoly.zero(new_ctx)
         for exps, coeff in h_int.term_items():
             if all(e == 0 for e in exps[: new_ctx.dof]):
@@ -299,25 +308,9 @@ def separate_hamiltonian(h: PhasePoly, cmap: CanonicalMap):
                     kinetic_part = kinetic_part + PhasePoly.monomial(
                         new_ctx, exps, coeff
                     )
-        rel_ok = kinetic_part == rel_kin
+        rel_ok = kinetic_part == kinetic_energy(new_ctx, {0: reduced}, cmap.d)
 
-    forward: dict[int, PhasePoly] = {}
-    n, d = cmap.n_bodies, cmap.d
-    for row in range(n):
-        for c in range(d):
-            pos = PhasePoly.zero(old_ctx)
-            mom = PhasePoly.zero(old_ctx)
-            for i in range(n):
-                if cmap.a[row][i]:
-                    pos = pos + PhasePoly.variable(old_ctx, i * d + c) * cmap.a[row][i]
-                if cmap.b[row][i]:
-                    mom = mom + (
-                        PhasePoly.variable(old_ctx, old_ctx.dof + i * d + c)
-                        * cmap.b[row][i]
-                    )
-            forward[row * d + c] = pos
-            forward[new_ctx.dof + row * d + c] = mom
-    reassembled = (h_cm + h_int).substitute(forward, old_ctx)
+    reassembled = (h_cm + h_int).substitute(cmap._forward_images(old_ctx), old_ctx)
 
     report = SeparationReport(
         cm_is_free_kinetic=(h_cm == free),

@@ -1,5 +1,8 @@
 from fractions import Fraction
 
+import dataclasses
+import itertools
+
 import pytest
 
 from conftest import cm_closure, sphere_closure
@@ -49,6 +52,49 @@ def test_sphere_closure_self_checks():
     cl = sphere_closure()
     assert cl.verify()
     assert cl.check_jacobi_tensor()
+
+
+def _dense_jacobi(cl):
+    """Reference check: the full O(n^5) loop over structure_constant() lookups."""
+    n = len(cl.basis)
+    c = cl.structure_constant
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                for l in range(n):
+                    total = Fraction(0)
+                    for m in range(n):
+                        total += c(i, j, m) * c(m, k, l)
+                        total += c(j, k, m) * c(m, i, l)
+                        total += c(k, i, m) * c(m, j, l)
+                    if total != 0:
+                        return False
+    return True
+
+
+def _sp4_closure():
+    ctx = PhaseContext(2)
+    names = ("q1", "q2", "p1", "p2")
+    quadratics = [f"{a}*{b}" for a, b in itertools.combinations_with_replacement(names, 2)]
+    return close_algebra(_elements(ctx, [(f"S{i}", e) for i, e in enumerate(quadratics)]))
+
+
+def test_jacobi_contraction_matches_dense_reference():
+    sp4 = _sp4_closure()
+    assert len(sp4.basis) == 10
+    for cl in (sphere_closure(), cm_closure(), sp4):
+        assert cl.check_jacobi_tensor() is True
+        assert _dense_jacobi(cl) is True
+
+
+def test_jacobi_contraction_rejects_broken_constant():
+    cl = sphere_closure()
+    # {H, g1} = -2H becomes -3H: the (H, U, g1) Jacobi sum no longer cancels
+    broken = dict(cl.structure)
+    broken[(0, 2, 0)] = Fraction(-3)
+    bad = dataclasses.replace(cl, structure=broken)
+    assert _dense_jacobi(bad) is False
+    assert bad.check_jacobi_tensor() is False
 
 
 def test_sphere_closure_general_parameters():

@@ -6,12 +6,10 @@ import pytest
 from conftest import random_poly
 from phasealg import (
     ContextMismatchError,
-    DegreeBudgetError,
     PhaseContext,
     PhasePoly,
     partial_derivative,
 )
-from phasealg.poly import combine
 
 
 @pytest.fixture
@@ -178,26 +176,6 @@ def test_polynomials_are_immutable_and_unhashable(ctx):
         p.ctx = PhaseContext(1)
     with pytest.raises(TypeError):
         hash(p)
-
-
-def test_combine_dispatch(ctx):
-    a = PhasePoly.variable(ctx, "q1")
-    b = PhasePoly.variable(ctx, "p1")
-    assert combine("add", a, b) == a + b
-    assert combine("sub", a, b) == a - b
-    assert combine("mul", a, b) == a * b
-    assert combine("scale", a, Fraction(2, 3)) == a * Fraction(2, 3)
-    assert combine("pow", a, 3) == a**3
-    with pytest.raises(ValueError):
-        combine("frobnicate", a, b)
-
-
-def test_combine_pow_respects_degree_budget():
-    ctx = PhaseContext(1, max_degree=8)
-    q = PhasePoly.variable(ctx, "q1")
-    assert combine("pow", q**2, 4) == q**8
-    with pytest.raises(DegreeBudgetError):
-        combine("pow", q**2, 5)
 
 
 def test_total_degree_is_max_over_terms(ctx):

@@ -151,6 +151,35 @@ def test_jacobi_inverse_transpose_identity():
         assert matmul(cmap.b, transpose(cmap.a)) == identity(n)
 
 
+def _image_round_trip(cmap):
+    """Forward images of the new variables with the inverse images substituted."""
+    old_ctx = cmap.old_context()
+    new_ctx = PhaseContext(old_ctx.dof)
+    forward = cmap._forward_images(old_ctx)
+    inverse = cmap.old_variable_images(new_ctx)
+    qs = cmap.new_position_polys(old_ctx)
+    ps = cmap.new_momentum_polys(old_ctx)
+    dof, d = old_ctx.dof, cmap.d
+    for row in range(cmap.n_bodies):
+        for c in range(d):
+            assert forward[row * d + c] == qs[row][c]
+            assert forward[dof + row * d + c] == ps[row][c]
+    assert sorted(forward) == sorted(inverse) == list(range(2 * dof))
+    for v in range(2 * dof):
+        assert forward[v].substitute(inverse, new_ctx) == PhasePoly.variable(new_ctx, v)
+        assert inverse[v].substitute(forward, old_ctx) == PhasePoly.variable(old_ctx, v)
+
+
+def test_linear_images_invert_exactly():
+    rng = random.Random(90210)
+    for d in (1, 2, 3):
+        m1, m2 = (Fraction(rng.randint(1, 15), rng.randint(1, 15)) for _ in range(2))
+        _image_round_trip(two_body_transform(m1, m2, d=d))
+        for n in (3, 4):
+            masses = [Fraction(rng.randint(1, 15), rng.randint(1, 15)) for _ in range(n)]
+            _image_round_trip(jacobi_transform(masses, d=d))
+
+
 def test_separate_two_body_kinetic():
     cmap = two_body_transform(1, 1, d=1)
     ctx = cmap.old_context()
