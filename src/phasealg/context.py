@@ -86,6 +86,8 @@ class PhaseContext:
     # -- identity ------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, PhaseContext):
             return NotImplemented
         return (

@@ -8,21 +8,84 @@ every operation returns a fresh polynomial in canonical form.
 Serialized forms (``str``, reports) list terms in graded-lexicographic
 order, highest first: total degree decides, ties break lexicographically
 on the exponent vector with q1 most significant.
+
+Products and brackets run on a packed form, built per call: each exponent
+vector becomes one int with a bit field per variable, and the coefficients
+become int numerators over one shared denominator.  ``Fraction`` appears
+again only once per output term, when the result is unpacked.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Mapping
 
 from .context import PhaseContext
 from .rational import rat
 
 Expvec = tuple[int, ...]
+Fields = list[tuple[int, int]]   # (shift, mask) of each variable's bit field
+Packed = list[tuple[int, int, Expvec]]   # (packed exponents, integer numerator, exponents)
 
 
 def _grlex_key(exps: Expvec) -> tuple[int, Expvec]:
     return (sum(exps), exps)
+
+
+def _maxima(p: "PhasePoly") -> list[int]:
+    """Largest exponent of each variable over the terms of ``p``."""
+    if not p._terms:
+        return [0] * p.ctx.nvars
+    return list(map(max, zip(*p._terms)))
+
+
+def _layout(tops: Iterable[int]) -> Fields:
+    """Bit fields wide enough to hold exponent ``tops[i]`` in variable i.
+
+    Callers pass the largest exponent any result of the call can reach in
+    each variable (for a product, the sum of the operands' maxima), so the
+    sum of two packed keys never carries from one field into the next.
+    """
+    fields: Fields = []
+    shift = 0
+    for top in tops:
+        width = top.bit_length()
+        fields.append((shift, (1 << width) - 1))
+        shift += width
+    return fields
+
+
+def _pack(p: "PhasePoly", fields: Fields) -> tuple[Packed, int]:
+    """The terms of ``p`` in packed form, in ``_terms`` order, and their denominator."""
+    den = lcm(*[c.denominator for c in p._terms.values()])
+    units = [1 << shift for shift, _ in fields]
+    packed = [
+        (sum(map(mul, exps, units)), c.numerator * (den // c.denominator), exps)
+        for exps, c in p._terms.items()
+    ]
+    return packed, den
+
+
+def _unpack(ctx: PhaseContext, acc: Mapping[int, int], fields: Fields, den: int) -> "PhasePoly":
+    """The polynomial sum of ``acc[key] / den * x^key`` over packed keys."""
+    keys = [key for key, num in acc.items() if num]
+    # One column of exponents per variable, zipped into tuples: about twice
+    # as fast as building each tuple from its key.
+    columns = [[(key >> shift) & mask for key in keys] for shift, mask in fields]
+    return PhasePoly._build(ctx, {
+        exps: Fraction(acc[key], den) for exps, key in zip(zip(*columns), keys)
+    })
+
+
+def _product_into(acc: dict[int, int], left: Packed, right: Packed) -> None:
+    """Add every product of a term of ``left`` and a term of ``right`` into ``acc``."""
+    get = acc.get
+    for k1, c1, _ in left:
+        for k2, c2, _ in right:
+            key = k1 + k2
+            acc[key] = get(key, 0) + c1 * c2
 
 
 class PhasePoly:
@@ -41,6 +104,14 @@ class PhasePoly:
                 clean[tuple(exps)] = c
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "_terms", clean)
+
+    @classmethod
+    def _build(cls, ctx: PhaseContext, terms: dict[Expvec, Fraction]) -> "PhasePoly":
+        """Wrap terms already in canonical form: right-length tuples, nonzero Fractions."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "ctx", ctx)
+        object.__setattr__(poly, "_terms", terms)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("PhasePoly is immutable")
@@ -127,17 +198,21 @@ class PhasePoly:
             return NotImplemented
         terms = dict(self._terms)
         for exps, coeff in rhs._terms.items():
-            new = terms.get(exps, Fraction(0)) + coeff
-            if new == 0:
-                terms.pop(exps, None)
-            else:
+            old = terms.get(exps)
+            if old is None:
+                terms[exps] = coeff
+                continue
+            new = old + coeff
+            if new:
                 terms[exps] = new
-        return PhasePoly(self.ctx, terms)
+            else:
+                del terms[exps]
+        return PhasePoly._build(self.ctx, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PhasePoly":
-        return PhasePoly(self.ctx, {e: -c for e, c in self._terms.items()})
+        return PhasePoly._build(self.ctx, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "PhasePoly":
         rhs = self._coerce(other)
@@ -156,20 +231,16 @@ class PhasePoly:
             c = rat(other)
             if c == 0:
                 return PhasePoly.zero(self.ctx)
-            return PhasePoly(self.ctx, {e: k * c for e, k in self._terms.items()})
+            return PhasePoly._build(self.ctx, {e: k * c for e, k in self._terms.items()})
         if not isinstance(other, PhasePoly):
             return NotImplemented
         self.ctx.require_same(other.ctx)
-        terms: dict[Expvec, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                new = terms.get(exps, Fraction(0)) + c1 * c2
-                if new == 0:
-                    terms.pop(exps, None)
-                else:
-                    terms[exps] = new
-        return PhasePoly(self.ctx, terms)
+        fields = _layout(x + y for x, y in zip(_maxima(self), _maxima(other)))
+        left, den_left = _pack(self, fields)
+        right, den_right = _pack(other, fields)
+        acc: dict[int, int] = {}
+        _product_into(acc, left, right)
+        return _unpack(self.ctx, acc, fields, den_left * den_right)
 
     __rmul__ = __mul__
 
@@ -224,7 +295,7 @@ class PhasePoly:
             new = list(exps)
             new[idx] = e - 1
             terms[tuple(new)] = coeff * e
-        return PhasePoly(self.ctx, terms)
+        return PhasePoly._build(self.ctx, terms)
 
     def derivative_multi(self, order: Expvec) -> "PhasePoly":
         """Apply ``d^order[i]/d var_i^order[i]`` for every variable at once.
@@ -247,7 +318,7 @@ class PhasePoly:
                 new[i] = e - k
             if factor:
                 terms[tuple(new)] = coeff * factor
-        return PhasePoly(self.ctx, terms)
+        return PhasePoly._build(self.ctx, terms)
 
     # -- substitution -------------------------------------------------------------
 
@@ -272,14 +343,15 @@ class PhasePoly:
             while len(cache) <= top:
                 cache.append(cache[-1] * images[i])
             powers[i] = cache
-        out = PhasePoly.zero(target)
+        acc: dict[Expvec, Fraction] = {}
         for exps, coeff in self._terms.items():
-            term = PhasePoly.constant(target, coeff)
-            for i, e in enumerate(exps):
-                if e > 0:
-                    term = term * powers[i][e]
-            out = out + term
-        return out
+            factors = [powers[i][e] for i, e in enumerate(exps) if e > 0]
+            term = factors[0] if factors else PhasePoly.constant(target, 1)
+            for factor in factors[1:]:
+                term = term * factor
+            for e2, c2 in term._terms.items():
+                acc[e2] = acc.get(e2, 0) + coeff * c2
+        return PhasePoly._build(target, {e: c for e, c in acc.items() if c})
 
     # -- printing -----------------------------------------------------------------
 

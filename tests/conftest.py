@@ -39,3 +39,43 @@ def cm_closure(total_mass=1, x0=0, bracket="poisson"):
     for i in (1, 2, 3):
         seeds.append(AlgebraElement(f"X{i}", parse_expression(f"q{i} - X0", ctx)))
     return close_algebra(seeds, bracket_kind=bracket)
+
+
+def edge_operands(ctx: PhaseContext) -> list[PhasePoly]:
+    """Zero, constant and linear operands, and monomials whose exponents
+    exceed a degree budget of 4 and whose pairwise sums land exactly on
+    2^k - 1 and 2^k, where a packed exponent field one bit too narrow
+    would carry into its neighbour."""
+    d = ctx.dof
+
+    def mono(coeff, *powers):
+        exps = [0] * ctx.nvars
+        for var, e in powers:
+            exps[var] = e
+        return PhasePoly.monomial(ctx, exps, coeff)
+
+    big = 31 if d == 1 else 7
+    return [
+        PhasePoly.zero(ctx),
+        PhasePoly.constant(ctx, Fraction(7, 3)),
+        mono(1, (0, 1)) + mono(-2, (2 * d - 1, 1)) + Fraction(1, 2),
+        mono(1, (0, big), (d, big + 1)),
+        mono(1, (0, big + 2), (d, big)) + mono(Fraction(-3, 5), (d - 1, big + 1)),
+    ]
+
+
+def kernel_cases(seed: int, dofs, hbars=(1,), randoms: int = 8, max_degree: int = 5, max_terms: int = 6):
+    """Operand pairs for the packed product and bracket kernels: every
+    ordered pair of ``edge_operands`` and ``randoms`` seeded random pairs,
+    for each D in ``dofs`` and hbar in ``hbars``."""
+    rng = random.Random(seed)
+    for dof in dofs:
+        for hbar in hbars:
+            ctx = PhaseContext(dof, hbar=hbar, max_degree=4)
+            edges = edge_operands(ctx)
+            for a in edges:
+                for b in edges:
+                    yield a, b
+            for _ in range(randoms):
+                yield (random_poly(rng, ctx, max_degree, max_terms),
+                       random_poly(rng, ctx, max_degree, max_terms))

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from conftest import random_poly
+from conftest import kernel_cases, random_poly
 from phasealg import (
     ContextMismatchError,
     PhaseContext,
@@ -43,6 +43,25 @@ def brute_force_moyal(a: PhasePoly, b: PhasePoly) -> PhasePoly:
             out = out + da * db * (coeff_k * weight * (-1) ** sum(t))
         k += 2
     return out
+
+
+def derivative_product_poisson(a: PhasePoly, b: PhasePoly) -> PhasePoly:
+    """Reference: the bracket as a sum of products of partial derivatives."""
+    ctx = a.ctx
+    result = PhasePoly.zero(ctx)
+    for i in range(ctx.dof):
+        qi, pi = i, ctx.dof + i
+        da_q = a.partial_derivative(qi)
+        da_p = a.partial_derivative(pi)
+        if not da_q.is_zero():
+            db_p = b.partial_derivative(pi)
+            if not db_p.is_zero():
+                result = result + da_q * db_p
+        if not da_p.is_zero():
+            db_q = b.partial_derivative(qi)
+            if not db_q.is_zero():
+                result = result - da_p * db_q
+    return result
 
 
 @pytest.fixture
@@ -145,7 +164,7 @@ def test_moyal_hbar_dependence():
 
 def test_moyal_against_brute_force_oracle():
     rng = random.Random(31415)
-    for dof, hbar in ((1, 1), (2, 1), (1, Fraction(3, 2)), (2, 3)):
+    for dof, hbar in ((1, 1), (2, 1), (1, Fraction(3, 2)), (2, 3), (3, 0), (3, Fraction(-2, 7))):
         ctx = PhaseContext(dof, hbar=hbar)
         for _ in range(60):
             a = random_poly(rng, ctx, max_degree=4, max_terms=4)
@@ -176,3 +195,14 @@ def test_context_mismatch(ctx):
         poisson_bracket(PhasePoly.variable(ctx, "q1"), PhasePoly.variable(other, "q1"))
     with pytest.raises(ContextMismatchError):
         moyal_bracket(PhasePoly.variable(ctx, "q1"), PhasePoly.variable(other, "q1"))
+
+
+def test_poisson_agrees_with_derivative_products():
+    for a, b in kernel_cases(1618, dofs=(1, 2, 3, 4), randoms=12):
+        assert poisson_bracket(a, b) == derivative_product_poisson(a, b)
+
+
+def test_moyal_agrees_with_brute_force_on_kernel_cases():
+    hbars = (0, 1, Fraction(3, 2), Fraction(-2, 7))
+    for a, b in kernel_cases(2718, dofs=(1, 2), hbars=hbars, randoms=6, max_degree=4):
+        assert moyal_bracket(a, b) == brute_force_moyal(a, b)

@@ -3,13 +3,23 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_poly
+from conftest import kernel_cases, random_poly
 from phasealg import (
     ContextMismatchError,
     PhaseContext,
     PhasePoly,
     partial_derivative,
 )
+
+
+def dense_product(a: PhasePoly, b: PhasePoly) -> PhasePoly:
+    """Reference: the product over exponent tuples, one Fraction per term pair."""
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for e1, c1 in a.term_items():
+        for e2, c2 in b.term_items():
+            exps = tuple(x + y for x, y in zip(e1, e2))
+            terms[exps] = terms.get(exps, Fraction(0)) + c1 * c2
+    return PhasePoly(a.ctx, terms)
 
 
 @pytest.fixture
@@ -181,3 +191,8 @@ def test_polynomials_are_immutable_and_unhashable(ctx):
 def test_total_degree_is_max_over_terms(ctx):
     p = PhasePoly.monomial(ctx, (1, 1, 0, 0)) + PhasePoly.monomial(ctx, (0, 0, 3, 1))
     assert p.total_degree() == 4
+
+
+def test_mul_agrees_with_dense_product():
+    for a, b in kernel_cases(1729, dofs=(1, 2, 3, 4), randoms=12):
+        assert a * b == dense_product(a, b)
