@@ -12,6 +12,8 @@ Constant remainders are folded into a single flagged identity element stored
 as the polynomial 1.  New non-constant elements are normalized so their
 graded-lex leading coefficient is 1 and named g1, g2, ... in creation order;
 the worklist is FIFO over pair-creation order, so runs are reproducible.
+Closure, ``span_reduce`` and ``verify`` reduce term maps through
+``linsolve.Echelon``, pivoting on the graded-lex leading monomial.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from typing import Callable, Sequence
 from .brackets import moyal_bracket, poisson_bracket
 from .context import PhaseContext
 from .errors import EmptySeedError, NonClosingError
-from .poly import Expvec, PhasePoly
+from .linsolve import Echelon
+from .poly import Expvec, PhasePoly, _grlex_key
 
 
 @dataclass(frozen=True)
@@ -34,57 +37,16 @@ class AlgebraElement:
     is_identity: bool = False
 
 
-class _Echelon:
-    """Row-echelon span of the basis polynomials, with coordinate tracking.
-
-    Each stored row is a polynomial whose leading monomial appears as a
-    leading monomial of no other row, together with its expression in terms
-    of the basis elements.  Reducing a polynomial strips every component in
-    the span and accumulates exact basis coordinates.
-    """
-
-    def __init__(self):
-        self.rows: dict[Expvec, tuple[PhasePoly, dict[int, Fraction]]] = {}
-
-    def reduce(self, p: PhasePoly) -> tuple[dict[int, Fraction], PhasePoly]:
-        coords: dict[int, Fraction] = {}
-        rem = p
-        while not rem.is_zero():
-            hit = None
-            for mono in rem.monomials():
-                if mono in self.rows:
-                    hit = mono
-                    break
-            if hit is None:
-                break
-            row_poly, row_coords = self.rows[hit]
-            factor = rem.coefficient(hit) / row_poly.coefficient(hit)
-            rem = rem - row_poly * factor
-            for j, c in row_coords.items():
-                new = coords.get(j, Fraction(0)) + factor * c
-                if new == 0:
-                    coords.pop(j, None)
-                else:
-                    coords[j] = new
-        return coords, rem
-
-    def add(self, reduced: PhasePoly, coords: dict[int, Fraction]) -> None:
-        head, _ = reduced.leading_term()
-        if head in self.rows:
-            raise AssertionError("row not fully reduced")
-        self.rows[head] = (reduced, coords)
+def _leading(terms: dict[Expvec, Fraction]) -> Expvec:
+    """Pivot of a closure row: its graded-lex leading monomial."""
+    return max(terms, key=_grlex_key)
 
 
-def _span(basis: Sequence[AlgebraElement]) -> _Echelon:
+def _span(basis: Sequence[AlgebraElement]) -> Echelon:
     """Echelon of the basis polynomials, coordinates kept over ``basis``."""
-    ech = _Echelon()
+    ech = Echelon(_leading)
     for j, elem in enumerate(basis):
-        coords, rem = ech.reduce(elem.poly)
-        if rem.is_zero():
-            continue  # linearly dependent basis entry, spans nothing new
-        combo = {i: -c for i, c in coords.items()}
-        combo[j] = combo.get(j, Fraction(0)) + 1
-        ech.add(rem, combo)
+        ech.add(elem.poly._terms, j)
     return ech
 
 
@@ -99,8 +61,8 @@ def span_reduce(
     """
     for elem in basis:
         p.ctx.require_same(elem.poly.ctx)
-    coords, rem = _span(basis).reduce(p)
-    return [coords.get(i, Fraction(0)) for i in range(len(basis))], rem
+    coords, rem = _span(basis).reduce(p._terms)
+    return [coords.get(i, Fraction(0)) for i in range(len(basis))], PhasePoly._build(p.ctx, rem)
 
 
 @dataclass
@@ -146,8 +108,8 @@ class LieClosure:
         for i in range(n):
             for j in range(i + 1, n):
                 br = self.bracket(self.basis[i].poly, self.basis[j].poly)
-                coords, rem = span.reduce(br)
-                if not rem.is_zero():
+                coords, rem = span.reduce(br._terms)
+                if rem:
                     return False
                 for k in range(n):
                     if coords.get(k, Fraction(0)) != self.structure_constant(i, j, k):
@@ -217,35 +179,9 @@ def close_algebra(
         names_seen.add(seed.name)
 
     basis: list[AlgebraElement] = []
-    ech = _Echelon()
+    ech = Echelon(_leading)
     structure: dict[tuple[int, int, int], Fraction] = {}
     queue: deque[tuple[int, int]] = deque()
-    identity_present = False
-
-    def add_element(elem: AlgebraElement, reduced: PhasePoly, combo_self: dict[int, Fraction]) -> int:
-        idx = len(basis)
-        basis.append(elem)
-        ech.add(reduced, combo_self)
-        for i in range(idx):
-            queue.append((i, idx))
-        return idx
-
-    for seed in seeds:
-        coords, rem = ech.reduce(seed.poly)
-        if rem.is_zero():
-            continue
-        if rem.is_constant():
-            if identity_present:
-                continue
-            identity_present = True
-            one = PhasePoly.constant(ctx, 1)
-            elem = AlgebraElement(seed.name, one, is_identity=True)
-            add_element(elem, one, {len(basis): Fraction(1)})
-            continue
-        combo = {i: -c for i, c in coords.items()}
-        combo[len(basis)] = combo.get(len(basis), Fraction(0)) + 1
-        add_element(AlgebraElement(seed.name, seed.poly), rem, combo)
-
     gen_counter = 0
 
     def fresh_name() -> str:
@@ -257,6 +193,30 @@ def close_algebra(
                 names_seen.add(name)
                 return name
 
+    def admit(rem: dict[Expvec, Fraction], seed: AlgebraElement | None = None) -> Fraction:
+        """Append ``seed``, else ``rem`` scaled to lead 1 (the identity if ``rem``
+        is constant); return the lead.  The echelon gets the element's own
+        polynomial, so its row's coordinates are over the basis as stored."""
+        head = _leading(rem)
+        lead = rem[head]
+        identity = not any(head)
+        if seed and not identity:
+            elem = AlgebraElement(seed.name, seed.poly)
+        else:
+            name = seed.name if seed else "1" if identity else fresh_name()
+            scaled = PhasePoly._build(ctx, {e: c / lead for e, c in rem.items()})
+            elem = AlgebraElement(name, scaled, is_identity=identity)
+        idx = len(basis)
+        basis.append(elem)
+        ech.add(elem.poly._terms, idx)
+        queue.extend((i, idx) for i in range(idx))
+        return lead
+
+    for seed in seeds:
+        _, rem = ech.reduce(seed.poly._terms)
+        if rem:
+            admit(rem, seed)
+
     while queue:
         i, j = queue.popleft()
         br = bracket(basis[i].poly, basis[j].poly)
@@ -266,30 +226,18 @@ def close_algebra(
                 (basis[i].name, basis[j].name),
                 len(basis),
             )
-        coords, rem = ech.reduce(br)
-        if not rem.is_zero():
+        coords, rem = ech.reduce(br._terms)
+        if rem:
             if len(basis) >= max_basis:
                 raise NonClosingError(
                     f"basis size exceeds max_basis {max_basis}",
                     (basis[i].name, basis[j].name),
                     len(basis),
                 )
-            if rem.is_constant():
-                identity_present = True
-                one = PhasePoly.constant(ctx, 1)
-                elem = AlgebraElement("1", one, is_identity=True)
-                scale = rem.constant_value()
-                idx = add_element(elem, one, {len(basis): Fraction(1)})
-            else:
-                _, lead = rem.leading_term()
-                elem = AlgebraElement(fresh_name(), rem / lead)
-                scale = lead
-                idx = add_element(elem, rem / lead, {len(basis): Fraction(1)})
-            coords = dict(coords)
-            coords[idx] = scale
+            idx = len(basis)
+            coords[idx] = admit(rem)
         for k, c in coords.items():
-            if c != 0:
-                structure[(i, j, k)] = c
+            structure[(i, j, k)] = c
 
     return LieClosure(
         basis=tuple(basis),

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .closure import LieClosure
 from .errors import AnsatzTooLargeError
-from .linsolve import nullspace
+from .linsolve import nullspace, sub_scaled
 from .poly import Expvec, PhasePoly, _grlex_key
 
 
@@ -119,10 +119,11 @@ def find_casimir(closure: LieClosure) -> list[CasimirSolution]:
             i: v for i, v in enumerate(vec[len(pairs) : len(pairs) + n]) if v != 0
         }
         constant = vec[-1]
-        realization = PhasePoly.zero(closure.ctx)
+        acc: dict[Expvec, Fraction] = {}
         for u, v in enumerate(vec):
             if v != 0:
-                realization = realization + terms[u] * v
+                sub_scaled(acc, terms[u]._terms, -v)
+        realization = PhasePoly._build(closure.ctx, acc)
         solutions.append(
             CasimirSolution(
                 quadratic=quadratic,
@@ -177,11 +178,8 @@ def find_center(
     sols = []
     for vec in nullspace(rows, len(terms)):
         vec = _normalize_first_nonzero(vec)
-        poly = PhasePoly.zero(closure.ctx)
-        for u, v in enumerate(vec):
-            if v != 0:
-                poly = poly + terms[u] * v
-        sols.append(poly)
+        # the ansatz terms are distinct monomials: the vector is the term map
+        sols.append(PhasePoly._build(closure.ctx, {m: v for m, v in zip(monos, vec) if v}))
     return CenterSolution(solutions=tuple(sols), degree=max_total_degree)
 
 

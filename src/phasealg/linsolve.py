@@ -1,13 +1,81 @@
-"""Exact linear algebra over rationals (sparse RREF, nullspace, inverse).
+"""Exact linear algebra over rationals: one sparse echelon engine.
 
-Rows are sparse ``{column: Fraction}`` maps.  Everything is deterministic:
-pivots are chosen as the smallest column index, so repeated runs produce
-identical reduced forms and identical nullspace bases.
+Rows are sparse ``{column: Fraction}`` maps.  ``Echelon`` (closure, span
+reduction, ``invert``) and ``sparse_rref`` (``nullspace``) are deterministic:
+identical inputs give identical reduced forms and nullspace bases.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable, Hashable, Mapping
+
+
+def sub_scaled(row: dict, other: Mapping, factor: Fraction, skip: Hashable = None) -> None:
+    """``row -= factor * other`` in place, over ``other``'s columns but ``skip``
+    (a pivot the caller popped: two ``Fraction`` operations fewer per call)."""
+    get = row.get
+    for c, v in other.items():
+        if c == skip:
+            continue
+        old = get(c)
+        if old is None:
+            row[c] = -(factor * v)
+        elif new := old - factor * v:
+            row[c] = new
+        else:
+            del row[c]
+
+
+class Echelon:
+    """Reduced row-echelon span of sparse rows, with coordinate tracking.
+
+    ``rows`` maps each pivot column to ``(row, coords)``: the row has
+    coefficient 1 at its pivot and 0 at every other pivot column, and
+    ``coords`` expresses it over the keys passed to ``add``.  ``head``
+    picks the pivot of a new row among its columns (default: the smallest).
+    """
+
+    def __init__(self, head: Callable[[dict], Hashable] = min):
+        self.head = head
+        self.rows: dict[Hashable, tuple[dict, dict]] = {}
+
+    def reduce(self, row: Mapping) -> tuple[dict, dict]:
+        """Split ``row`` into ``sum coords[key] * input[key] + rem``.
+
+        ``rem`` is empty exactly when ``row`` lies in the span.  Stored rows
+        vanish at each other's pivots: one pass over ``row``'s pivots suffices.
+        """
+        rem = dict(row)
+        coords: dict = {}
+        for col in [c for c in rem if c in self.rows]:
+            factor = rem.pop(col)
+            prow, pcoords = self.rows[col]
+            sub_scaled(rem, prow, factor, col)
+            sub_scaled(coords, pcoords, -factor)
+        return coords, rem
+
+    def add(self, row: Mapping, key: Hashable) -> bool:
+        """Add input ``row`` under ``key``; False if it already lies in the span.
+
+        Its remainder, scaled to 1 at its pivot, is back-substituted into the
+        stored rows, which keeps the form reduced.
+        """
+        coords, rem = self.reduce(row)
+        if not rem:
+            return False
+        pivot = self.head(rem)
+        inv = 1 / rem[pivot]
+        rem = {c: v * inv for c, v in rem.items()}
+        coords = {k: -c * inv for k, c in coords.items()}
+        coords[key] = inv
+        for prow, pcoords in self.rows.values():
+            factor = prow.pop(pivot, None)
+            if factor:
+                sub_scaled(prow, rem, factor, pivot)
+                sub_scaled(pcoords, coords, factor)
+        self.rows[pivot] = (rem, coords)
+        return True
 
 
 def sparse_rref(rows) -> dict[int, dict[int, Fraction]]:
@@ -23,15 +91,7 @@ def sparse_rref(rows) -> dict[int, dict[int, Fraction]]:
             col = min(row)
             if col not in pivots:
                 break
-            factor = row.pop(col)
-            for c, v in pivots[col].items():
-                if c == col:
-                    continue
-                new = row.get(c, Fraction(0)) - factor * v
-                if new == 0:
-                    row.pop(c, None)
-                else:
-                    row[c] = new
+            sub_scaled(row, pivots[col], row.pop(col), col)
         if not row:
             continue
         col = min(row)
@@ -39,15 +99,7 @@ def sparse_rref(rows) -> dict[int, dict[int, Fraction]]:
         row = {c: v * inv for c, v in row.items()}
         for prow in pivots.values():
             if col in prow:
-                factor = prow.pop(col)
-                for c, v in row.items():
-                    if c == col:
-                        continue
-                    new = prow.get(c, Fraction(0)) - factor * v
-                    if new == 0:
-                        prow.pop(c, None)
-                    else:
-                        prow[c] = new
+                sub_scaled(prow, row, prow.pop(col), col)
         pivots[col] = row
     return pivots
 
@@ -74,19 +126,11 @@ def nullspace(rows, ncols: int) -> list[list[Fraction]]:
 
 
 def invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse of a small dense square matrix (Gauss-Jordan)."""
+    """Exact inverse of a square matrix: its rows reduce to the identity, and
+    row ``c`` of the inverse is the coordinates of the row with pivot ``c``."""
     n = len(matrix)
-    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot_row is None:
+    ech = Echelon()
+    for r, row in enumerate(matrix):
+        if not ech.add({c: Fraction(v) for c, v in enumerate(row) if v}, r):
             raise ValueError("matrix is singular")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    return [[ech.rows[c][1].get(r, Fraction(0)) for r in range(n)] for c in range(n)]

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import dataclasses
 import itertools
+import random
 
 import pytest
 
-from conftest import cm_closure, sphere_closure
+from conftest import cm_closure, random_poly, random_rational, sphere_closure
 from phasealg import (
     AlgebraElement,
     EmptySeedError,
@@ -179,6 +180,18 @@ def test_constant_seed_becomes_identity():
     assert cl.structure == {}
 
 
+def test_constant_seed_remainder_stored_as_identity():
+    # U reduces to the constant 1 against H; the stored element is 1 itself,
+    # so {H, P} = 1 must land on U alone, not on U - H
+    ctx = PhaseContext(1)
+    cl = close_algebra(_elements(ctx, [("H", "q1"), ("U", "q1 + 1"), ("P", "p1")]))
+    assert [e.name for e in cl.basis] == ["H", "U", "P"]
+    assert [e.is_identity for e in cl.basis] == [False, True, False]
+    assert cl.basis[1].poly == 1
+    assert cl.structure == {(0, 2, 1): Fraction(1)}
+    assert cl.verify()
+
+
 def test_identity_appears_from_brackets():
     ctx = PhaseContext(1)
     cl = close_algebra(_elements(ctx, [("Q", "q1"), ("P", "p1")]))
@@ -306,3 +319,87 @@ def test_convention_notes_silent_without_identity_terms():
     notes = convention_notes(cl)
     # only the standing sign-convention note, no identity spills
     assert len(notes) == 1
+
+
+class _ReferenceEchelon:
+    """The leading-monomial echelon closure used before ``linsolve.Echelon``.
+
+    Rows are kept unreduced against each other, keyed by leading monomial;
+    reducing re-sorts the remainder on every step to find the next hit.
+    """
+
+    def __init__(self):
+        self.rows = {}
+
+    def reduce(self, p):
+        coords = {}
+        rem = p
+        while not rem.is_zero():
+            hit = next((m for m in rem.monomials() if m in self.rows), None)
+            if hit is None:
+                break
+            row_poly, row_coords = self.rows[hit]
+            factor = rem.coefficient(hit) / row_poly.coefficient(hit)
+            rem = rem - row_poly * factor
+            for j, c in row_coords.items():
+                new = coords.get(j, Fraction(0)) + factor * c
+                if new == 0:
+                    coords.pop(j, None)
+                else:
+                    coords[j] = new
+        return coords, rem
+
+    def add(self, reduced, coords):
+        head, _ = reduced.leading_term()
+        assert head not in self.rows, "row not fully reduced"
+        self.rows[head] = (reduced, coords)
+
+
+def _reference_span_reduce(p, basis):
+    ech = _ReferenceEchelon()
+    for j, elem in enumerate(basis):
+        coords, rem = ech.reduce(elem.poly)
+        if rem.is_zero():
+            continue
+        combo = {i: -c for i, c in coords.items()}
+        combo[j] = combo.get(j, Fraction(0)) + 1
+        ech.add(rem, combo)
+    coords, rem = ech.reduce(p)
+    return [coords.get(i, Fraction(0)) for i in range(len(basis))], rem
+
+
+def _random_span_case(rng, ctx):
+    """A basis with dependent entries and constants, and a target that is a
+    combination of the basis plus, half the time, something outside it."""
+    polys = []
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.random()
+        if kind < 0.15:
+            polys.append(PhasePoly.constant(ctx, random_rational(rng) or 1))
+        elif kind < 0.35 and polys:
+            combo = sum((p * random_rational(rng) for p in rng.sample(polys, min(2, len(polys)))),
+                        PhasePoly.zero(ctx))
+            polys.append(combo if not combo.is_zero() else polys[0] * 3)
+        else:
+            p = random_poly(rng, ctx, max_degree=3, max_terms=4)
+            polys.append(p if not p.is_zero() else PhasePoly.variable(ctx, 0))
+    basis = [AlgebraElement(f"B{i}", p) for i, p in enumerate(polys)]
+    target = sum((p * random_rational(rng) for p in polys), PhasePoly.zero(ctx))
+    if rng.random() < 0.5:
+        target = target + random_poly(rng, ctx, max_degree=3, max_terms=3)
+    return target, basis
+
+
+def test_span_reduce_matches_reference_echelon():
+    rng = random.Random(4242)
+    outside = 0
+    for dof in (1, 2, 3):
+        ctx = PhaseContext(dof)
+        for _ in range(60):
+            target, basis = _random_span_case(rng, ctx)
+            coords, rem = span_reduce(target, basis)
+            assert (coords, rem) == _reference_span_reduce(target, basis)
+            rebuilt = sum((e.poly * c for e, c in zip(basis, coords)), rem)
+            assert rebuilt == target
+            outside += not rem.is_zero()
+    assert 30 < outside < 150

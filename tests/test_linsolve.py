@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from phasealg.linsolve import nullspace
+from phasealg.linsolve import Echelon, invert, nullspace, sub_scaled
 
 
 @pytest.mark.xfail(
@@ -17,3 +19,81 @@ def test_nullspace_vectors_solve_every_row():
     for vec in basis:
         for row in rows:
             assert sum(v * vec[c] for c, v in row.items()) == 0
+
+
+def _identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def _matmul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
+def _random_nonsingular(rng, n, zero_lead):
+    while True:
+        m = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+        if zero_lead:
+            m[0][0] = Fraction(0)
+        if sympy.Matrix(m).det() != 0:
+            return m
+
+
+def test_invert_is_exact_inverse():
+    rng = random.Random(2718)
+    for n in range(1, 7):
+        for zero_lead in (False, True) if n > 1 else (False,):
+            for _ in range(4):
+                m = _random_nonsingular(rng, n, zero_lead)
+                inv = invert(m)
+                assert _matmul(m, inv) == _identity(n)
+                assert _matmul(inv, m) == _identity(n)
+
+
+def test_invert_permutation_and_integer_input():
+    assert invert([[0, 1], [1, 0]]) == [[0, 1], [1, 0]]
+    assert invert([[0, 0, 2], [0, 4, 0], [1, 0, 0]]) == [
+        [0, 0, 1],
+        [0, Fraction(1, 4), 0],
+        [Fraction(1, 2), 0, 0],
+    ]
+
+
+def test_invert_rejects_singular():
+    rows = [[1, 2, 3], [0, 1, 4], [2, 5, 10]]   # row 3 = 2*row 1 + row 2
+    with pytest.raises(ValueError, match="matrix is singular"):
+        invert([[Fraction(v) for v in row] for row in rows])
+    with pytest.raises(ValueError, match="matrix is singular"):
+        invert([[0, 0], [0, 0]])
+
+
+def test_echelon_rows_stay_reduced_with_coordinates():
+    rng = random.Random(161)
+    inputs = []
+    for _ in range(12):
+        if inputs and rng.random() < 0.3:   # a dependent input
+            a, b = rng.sample(inputs, 2) if len(inputs) > 1 else (inputs[0], inputs[0])
+            row = {}
+            sub_scaled(row, a, Fraction(-2))
+            sub_scaled(row, b, Fraction(1, 3))
+        else:
+            row = {c: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for c in rng.sample(range(8), 3)}
+            row = {c: v for c, v in row.items() if v}
+        inputs.append(row)
+    ech = Echelon()
+    added = [ech.add(row, k) for k, row in enumerate(inputs)]
+    assert len(ech.rows) == sympy.Matrix(
+        [[row.get(c, 0) for c in range(8)] for row in inputs]).rank() == sum(added)
+    for pivot, (row, coords) in ech.rows.items():
+        assert row[pivot] == 1
+        assert not any(c in row for c in ech.rows if c != pivot)
+        rebuilt = {}
+        for k, f in coords.items():
+            sub_scaled(rebuilt, inputs[k], -f)
+        assert rebuilt == row
+    for k, row in enumerate(inputs):
+        coords, rem = ech.reduce(row)
+        assert rem == {}
+        rebuilt = {}
+        for j, f in coords.items():
+            sub_scaled(rebuilt, inputs[j], -f)
+        assert rebuilt == row
