@@ -8,17 +8,25 @@ Two ansatz families are supported:
 * ``find_center``: arbitrary phase-space polynomials of bounded total
   degree.
 
-Both impose exact commutation with every basis element, assemble the
-resulting homogeneous linear system over the rationals and return a
-canonical basis of its solution space.  An empty nontrivial solution set is
-a meaningful result: for an irreducible algebra the centre is spanned by the
-identity alone, so the only invariant Hamiltonian is a constant shift.
+Both pose exact commutation with the seeds alone (the non-identity basis
+elements named in ``seed_names``), which generate the closed algebra: by
+the Jacobi identity, whatever commutes with every seed commutes with every
+bracket of seeds, hence with the whole basis, under the Poisson and the
+Moyal bracket alike.  One solver assembles the homogeneous linear system
+over the rationals and returns a canonical basis of its solution space;
+``find_center`` checks its ansatz size against the cap before enumerating
+any monomial.  ``verify_invariant`` stays an independent check against the
+full basis.  An empty nontrivial solution set is a meaningful result: for
+an irreducible algebra the centre is spanned by the identity alone, so the
+only invariant Hamiltonian is a constant shift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import comb
 from typing import Sequence
 
 from .closure import LieClosure
@@ -62,35 +70,33 @@ class InvariantReport:
     passed: bool
 
 
-def _commutation_rows(terms: Sequence[PhasePoly], closure: LieClosure):
-    """Rows of the linear system ``sum_u x_u * bracket(T_u, b_k) == 0``.
+def _solve(terms: Sequence[PhasePoly], closure: LieClosure):
+    """Solutions of ``bracket(sum_u x_u T_u, s) == 0`` for every seed ``s``.
 
-    One row per (basis element, output monomial); columns index the ansatz
-    terms.  Brackets with the identity vanish and are skipped.
+    One row per (seed, output monomial) in order of first appearance, which
+    ``nullspace``'s output depends on while its ``sparse_rref`` defect stands;
+    one column per ansatz term.  Returns, per nullspace vector, the vector
+    scaled so its first nonzero entry is 1, and its polynomial ``sum_u x_u T_u``.
     """
+    seeds = set(closure.seed_names)
     rows: dict[tuple[int, Expvec], dict[int, Fraction]] = {}
-    order: list[tuple[int, Expvec]] = []
     for k, elem in enumerate(closure.basis):
-        if elem.is_identity:
+        if elem.is_identity or elem.name not in seeds:
             continue
         for u, term in enumerate(terms):
-            br = closure.bracket(term, elem.poly)
-            for mono, coeff in br.term_items():
-                key = (k, mono)
-                row = rows.get(key)
-                if row is None:
-                    row = rows[key] = {}
-                    order.append(key)
-                row[u] = row.get(u, Fraction(0)) + coeff
-    return [rows[key] for key in order]
-
-
-def _normalize_first_nonzero(vec: list[Fraction]) -> list[Fraction]:
-    lead = next((v for v in vec if v != 0), None)
-    if lead is None or lead == 1:
-        return vec
-    inv = Fraction(1) / lead
-    return [v * inv for v in vec]
+            # a bracket's monomials are distinct: one entry per (row, term)
+            for mono, coeff in closure.bracket(term, elem.poly).term_items():
+                rows.setdefault((k, mono), {})[u] = coeff
+    solutions = []
+    for vec in nullspace(list(rows.values()), len(terms)):
+        lead = next(v for v in vec if v)
+        vec = [v / lead for v in vec]
+        acc: dict[Expvec, Fraction] = {}
+        for v, term in zip(vec, terms):
+            if v:
+                sub_scaled(acc, term._terms, -v)
+        solutions.append((vec, PhasePoly._build(closure.ctx, acc)))
+    return solutions
 
 
 def find_casimir(closure: LieClosure) -> list[CasimirSolution]:
@@ -103,58 +109,41 @@ def find_casimir(closure: LieClosure) -> list[CasimirSolution]:
     linear, then constant) equals 1.
     """
     gens = [e for e in closure.basis if not e.is_identity]
-    names = tuple(e.name for e in gens)
     n = len(gens)
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     terms: list[PhasePoly] = [gens[i].poly * gens[j].poly for i, j in pairs]
     terms += [g.poly for g in gens]
     terms.append(PhasePoly.constant(closure.ctx, 1))
 
-    rows = _commutation_rows(terms, closure)
-    solutions = []
-    for vec in nullspace(rows, len(terms)):
-        vec = _normalize_first_nonzero(vec)
-        quadratic = {pairs[u]: v for u, v in enumerate(vec[: len(pairs)]) if v != 0}
-        linear = {
-            i: v for i, v in enumerate(vec[len(pairs) : len(pairs) + n]) if v != 0
-        }
-        constant = vec[-1]
-        acc: dict[Expvec, Fraction] = {}
-        for u, v in enumerate(vec):
-            if v != 0:
-                sub_scaled(acc, terms[u]._terms, -v)
-        realization = PhasePoly._build(closure.ctx, acc)
-        solutions.append(
-            CasimirSolution(
-                quadratic=quadratic,
-                linear=linear,
-                constant=constant,
-                realization=realization,
-                trivial=realization.is_constant(),
-                generator_names=names,
-            )
+    solutions = [
+        CasimirSolution(
+            quadratic={pairs[u]: v for u, v in enumerate(vec[: len(pairs)]) if v},
+            linear={i: v for i, v in enumerate(vec[len(pairs) : -1]) if v},
+            constant=vec[-1],
+            realization=realization,
+            trivial=realization.is_constant(),
+            generator_names=tuple(e.name for e in gens),
         )
+        for vec, realization in _solve(terms, closure)
+    ]
     solutions.sort(key=lambda s: s.trivial)  # nontrivial first, order stable
     return solutions
 
 
 def monomials_up_to_degree(ctx, degree: int) -> list[Expvec]:
-    """All exponent vectors of total degree <= degree, graded-lex ascending."""
+    """All exponent vectors of total degree <= degree, graded-lex ascending.
+
+    A multiset of ``degree`` picks from the variables plus one slack slot is
+    one monomial of degree <= ``degree``: ``comb(nvars + degree, degree)``.
+    """
     nvars = ctx.nvars
     out: list[Expvec] = []
-    for d in range(degree + 1):
-        level = []
-
-        def fill(prefix: tuple[int, ...], left: int):
-            if len(prefix) == nvars - 1:
-                level.append(prefix + (left,))
-                return
-            for e in range(left + 1):
-                fill(prefix + (e,), left - e)
-
-        fill((), d)
-        level.sort(key=_grlex_key)
-        out.extend(level)
+    for picks in combinations_with_replacement(range(nvars + 1), degree):
+        exps = [0] * (nvars + 1)
+        for v in picks:
+            exps[v] += 1
+        out.append(tuple(exps[:nvars]))
+    out.sort(key=_grlex_key)
     return out
 
 
@@ -164,23 +153,20 @@ def find_center(
     """Exact basis of bounded-degree polynomials commuting with the algebra.
 
     The constant polynomial always appears; anything beyond it is a
-    candidate invariant Hamiltonian.
+    candidate invariant Hamiltonian.  The ansatz size is checked against
+    ``max_monomials`` before any monomial is built.
     """
     if max_total_degree < 0:
         raise ValueError("max_total_degree must be >= 0")
-    monos = monomials_up_to_degree(closure.ctx, max_total_degree)
-    if len(monos) > max_monomials:
-        raise AnsatzTooLargeError(
-            f"ansatz needs {len(monos)} monomials, cap is {max_monomials}"
-        )
-    terms = [PhasePoly.monomial(closure.ctx, m) for m in monos]
-    rows = _commutation_rows(terms, closure)
-    sols = []
-    for vec in nullspace(rows, len(terms)):
-        vec = _normalize_first_nonzero(vec)
-        # the ansatz terms are distinct monomials: the vector is the term map
-        sols.append(PhasePoly._build(closure.ctx, {m: v for m, v in zip(monos, vec) if v}))
-    return CenterSolution(solutions=tuple(sols), degree=max_total_degree)
+    count = comb(closure.ctx.nvars + max_total_degree, max_total_degree)
+    if count > max_monomials:
+        raise AnsatzTooLargeError(f"ansatz needs {count} monomials, cap is {max_monomials}")
+    terms = [
+        PhasePoly.monomial(closure.ctx, m)
+        for m in monomials_up_to_degree(closure.ctx, max_total_degree)
+    ]
+    sols = tuple(poly for _, poly in _solve(terms, closure))
+    return CenterSolution(solutions=sols, degree=max_total_degree)
 
 
 def verify_invariant(p: PhasePoly, closure: LieClosure) -> InvariantReport:

@@ -246,16 +246,6 @@ def _labeled_term(exps, coeff: Fraction, cmap: CanonicalMap, dof: int) -> str:
     return f"{coeff}*{body}" if parts else str(coeff)
 
 
-def _term_blocks(exps, dof: int, cm_first_var: int, d: int) -> set[str]:
-    blocks = set()
-    for idx, e in enumerate(exps):
-        if not e:
-            continue
-        var = idx if idx < dof else idx - dof
-        blocks.add("cm" if cm_first_var <= var < cm_first_var + d else "rel")
-    return blocks
-
-
 def separate_hamiltonian(h: PhasePoly, cmap: CanonicalMap):
     """Split H into (H_CM, H_int, report) or raise SeparationFailure.
 
@@ -278,21 +268,24 @@ def separate_hamiltonian(h: PhasePoly, cmap: CanonicalMap):
     )
     transformed = h.substitute(cmap.old_variable_images(new_ctx), new_ctx)
 
+    dof = new_ctx.dof
     cm_first = cmap.cm_row * cmap.d
-    h_cm = PhasePoly.zero(new_ctx)
-    h_int = PhasePoly.zero(new_ctx)
+    is_cm = [cm_first <= i % dof < cm_first + cmap.d for i in range(new_ctx.nvars)]
+    cm_terms: dict = {}
+    int_terms: dict = {}
     mixed = []
     for exps, coeff in transformed.term_items():
-        blocks = _term_blocks(exps, new_ctx.dof, cm_first, cmap.d)
-        term = PhasePoly.monomial(new_ctx, exps, coeff)
-        if blocks == {"cm"}:
-            h_cm = h_cm + term
-        elif len(blocks) < 2:
-            h_int = h_int + term
+        touched = {cm for e, cm in zip(exps, is_cm) if e}
+        if touched == {True}:
+            cm_terms[exps] = coeff
+        elif True not in touched:
+            int_terms[exps] = coeff
         else:
-            mixed.append(_labeled_term(exps, coeff, cmap, new_ctx.dof))
+            mixed.append(_labeled_term(exps, coeff, cmap, dof))
     if mixed:
         raise SeparationFailure(mixed)
+    h_cm = PhasePoly._build(new_ctx, cm_terms)
+    h_int = PhasePoly._build(new_ctx, int_terms)
 
     total = cmap.total_mass
     free = kinetic_energy(new_ctx, {cmap.cm_row: total}, cmap.d)
@@ -301,14 +294,11 @@ def separate_hamiltonian(h: PhasePoly, cmap: CanonicalMap):
     if cmap.n_bodies == 2:
         m1, m2 = cmap.masses
         reduced = m1 * m2 / total
-        kinetic_part = PhasePoly.zero(new_ctx)
-        for exps, coeff in h_int.term_items():
-            if all(e == 0 for e in exps[: new_ctx.dof]):
-                if any(e for e in exps):
-                    kinetic_part = kinetic_part + PhasePoly.monomial(
-                        new_ctx, exps, coeff
-                    )
-        rel_ok = kinetic_part == kinetic_energy(new_ctx, {0: reduced}, cmap.d)
+        # terms in the momenta alone, constants excluded
+        kinetic_part = {e: c for e, c in int_terms.items() if any(e) and not any(e[:dof])}
+        rel_ok = PhasePoly._build(new_ctx, kinetic_part) == kinetic_energy(
+            new_ctx, {0: reduced}, cmap.d
+        )
 
     reassembled = (h_cm + h_int).substitute(cmap._forward_images(old_ctx), old_ctx)
 

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 import pytest
 
@@ -18,6 +20,9 @@ from phasealg import (
     parse_expression,
     verify_invariant,
 )
+from phasealg import invariants
+from phasealg.linsolve import nullspace
+from phasealg.poly import _grlex_key
 
 
 def angular_momentum_square(ctx):
@@ -115,15 +120,96 @@ def test_cm_center_is_constants_only():
 
 
 def test_monomials_up_to_degree():
-    ctx = PhaseContext(1)
-    monos = monomials_up_to_degree(ctx, 2)
-    # 1, q1, p1, q1^2, q1*p1, p1^2
-    assert len(monos) == 6
-    assert monos[0] == (0, 0)
-    assert sorted(monos) == sorted(
-        [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
-    )
-    assert monomials_up_to_degree(ctx, 0) == [(0, 0)]
+    for dof in (1, 2, 3):
+        ctx = PhaseContext(dof)
+        n = ctx.nvars
+        for d in range(5):
+            expected = sorted(
+                (e for e in product(range(d + 1), repeat=n) if sum(e) <= d),
+                key=_grlex_key,
+            )
+            monos = monomials_up_to_degree(ctx, d)
+            assert monos == expected
+            assert len(monos) == comb(n + d, d)
+
+
+def test_center_cap_checked_before_enumeration(monkeypatch):
+    def refuse(ctx, degree):
+        raise AssertionError("monomials enumerated before the cap check")
+
+    monkeypatch.setattr(invariants, "monomials_up_to_degree", refuse)
+    with pytest.raises(AnsatzTooLargeError) as info:
+        find_center(cm_closure(), max_total_degree=40)
+    assert str(info.value) == "ansatz needs 9366819 monomials, cap is 5000"
+
+
+def _all_basis_rows(terms, closure):
+    """Reference rows: ``bracket(T_u, b_k)`` for every non-identity basis
+    element ``b_k``, one row per (element, output monomial)."""
+    rows = {}
+    order = []
+    for k, elem in enumerate(closure.basis):
+        if elem.is_identity:
+            continue
+        for u, term in enumerate(terms):
+            br = closure.bracket(term, elem.poly)
+            for mono, coeff in br.term_items():
+                key = (k, mono)
+                row = rows.get(key)
+                if row is None:
+                    row = rows[key] = {}
+                    order.append(key)
+                row[u] = row.get(u, Fraction(0)) + coeff
+    return [rows[key] for key in order]
+
+
+def _all_basis_solve(terms, closure):
+    """Reference solver on the all-basis rows, same output shape as the
+    library's: the first-nonzero-is-1 vector and its polynomial."""
+    out = []
+    for vec in nullspace(_all_basis_rows(terms, closure), len(terms)):
+        lead = next(v for v in vec if v != 0)
+        vec = [v / lead for v in vec]
+        poly = PhasePoly.zero(closure.ctx)
+        for v, term in zip(vec, terms):
+            poly = poly + term * v
+        out.append((vec, poly))
+    return out
+
+
+def _closure_of(dof, *exprs, bracket="poisson"):
+    ctx = PhaseContext(dof)
+    seeds = [
+        AlgebraElement(f"s{i}", parse_expression(e, ctx)) for i, e in enumerate(exprs)
+    ]
+    return close_algebra(seeds, bracket_kind=bracket)
+
+
+REFERENCE_CLOSURES = {
+    "sphere-poisson": lambda: sphere_closure(),
+    "sphere-moyal": lambda: sphere_closure(m=2, r0=3, bracket="moyal"),
+    "cm-poisson": lambda: cm_closure(total_mass=3, x0=Fraction(1, 2)),
+    "cm-moyal": lambda: cm_closure(total_mass=2, x0=1, bracket="moyal"),
+    "heisenberg": lambda: _closure_of(1, "q1", "p1"),
+    "sp4": lambda: _closure_of(2, "q1^2 + q2^2", "p1^2 + 3*p2^2", "q1*p2"),
+    "constant-and-dependent-seeds": lambda: _closure_of(2, "q1*p1", "3", "2*q1*p1", "q2^2"),
+    "seed-shifted-by-constant": lambda: _closure_of(1, "q1", "q1 + 1", "p1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CLOSURES))
+def test_seed_rows_match_all_basis_rows(name, monkeypatch):
+    """Rows from the seeds alone give the same solutions as rows from every
+    basis element (Jacobi identity), and the centre passes the full check."""
+    cl = REFERENCE_CLOSURES[name]()
+    fast = {d: find_center(cl, max_total_degree=d) for d in (1, 2, 3)}
+    fast_casimir = find_casimir(cl)
+    monkeypatch.setattr(invariants, "_solve", _all_basis_solve)
+    for d, center in fast.items():
+        assert center == find_center(cl, max_total_degree=d)
+        for p in center.solutions:
+            assert verify_invariant(p, cl).passed
+    assert fast_casimir == find_casimir(cl)
 
 
 def test_center_degree_zero_is_constant():
