@@ -6,11 +6,12 @@ JSON too, with every polynomial serialized as canonical DSL text and every
 rational as a string, so identical inputs always produce identical bytes.
 
 Exit codes: 0 success, 2 input error, 3 algebra does not close (the report
-is still written, with diagnostics), 4 I/O failure.
+is still written, with diagnostics), 4 I/O failure, 5 out of memory.
 
 The environment variable PHASEALG_MAX_MEMORY_MB, when set, caps the address
-space of the process before any exact arithmetic starts; runaway closures
-then die with MemoryError instead of taking the machine down.
+space of the process before any exact arithmetic starts; a runaway closure
+then ends with exit 5 and "error: out of memory" on stderr, naming the
+cap, instead of taking the machine down.  No report is written.
 """
 
 from __future__ import annotations
@@ -549,6 +550,14 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        pass
+    # Only a MemoryError gets here.  It is reported after the handler has
+    # ended, which drops the traceback and the memory its frames still hold.
+    cap = os.environ.get("PHASEALG_MAX_MEMORY_MB")
+    limit = f"PHASEALG_MAX_MEMORY_MB={cap}" if cap else "no PHASEALG_MAX_MEMORY_MB cap"
+    print(f"error: out of memory ({limit})", file=sys.stderr)
+    return 5
 
 
 def entry() -> None:

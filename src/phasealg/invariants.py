@@ -15,9 +15,26 @@ bracket of seeds, hence with the whole basis, under the Poisson and the
 Moyal bracket alike.  One solver assembles the homogeneous linear system
 over the rationals and returns a canonical basis of its solution space;
 ``find_center`` checks its ansatz size against the cap before enumerating
-any monomial.  ``verify_invariant`` stays an independent check against the
-full basis.  An empty nontrivial solution set is a meaningful result: for
-an irreducible algebra the centre is spanned by the identity alone, so the
+any monomial.
+
+The centre ansatz is all unit monomials, and the bracket of a monomial
+with a seed has a closed form,
+
+    {x^a, s} = sum_i a_qi x^(a - e_qi) ds/dp_i - a_pi x^(a - e_pi) ds/dq_i,
+
+so each seed's 2D partials are taken once per search and every row block
+is a shift of their exponents, with no bracket call per monomial.  It
+serves the Poisson bracket, and the Moyal bracket when hbar is 0 or the
+seed has degree <= 2, where Moyal equals Poisson.  Any other seed, and
+any ansatz that is not all unit monomials (``find_casimir``'s products of
+generators, in general), takes ``closure.bracket``.  Both paths emit the
+rows in the same order: seed, then ansatz term, then graded-lex-descending
+monomial; ``nullspace``'s output depends on that order while its
+``sparse_rref`` defect stands.
+
+``verify_invariant`` stays an independent check against the full basis.
+An empty nontrivial solution set is a meaningful result: for an
+irreducible algebra the centre is spanned by the identity alone, so the
 only invariant Hamiltonian is a constant shift.
 """
 
@@ -26,7 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, lcm
+from operator import mul
 from typing import Sequence
 
 from .closure import LieClosure
@@ -70,25 +88,109 @@ class InvariantReport:
     passed: bool
 
 
-def _solve(terms: Sequence[PhasePoly], closure: LieClosure):
-    """Solutions of ``bracket(sum_u x_u T_u, s) == 0`` for every seed ``s``.
+def _unit_exps(term: PhasePoly) -> Expvec | None:
+    """The exponent vector of ``term`` if it is a monomial with coefficient 1."""
+    if len(term._terms) == 1:
+        ((exps, coeff),) = term._terms.items()
+        if coeff == 1:
+            return exps
+    return None
 
-    One row per (seed, output monomial) in order of first appearance, which
-    ``nullspace``'s output depends on while its ``sparse_rref`` defect stands;
-    one column per ansatz term.  Returns, per nullspace vector, the vector
-    scaled so its first nonzero entry is 1, and its polynomial ``sum_u x_u T_u``.
+
+def _monomial_brackets(monos: Sequence[Expvec], s: PhasePoly):
+    """Yield the Poisson bracket ``{x^a, s}`` for each ``a`` in ``monos``, as
+    its terms in graded-lex descending order (``PhasePoly.term_items``):
+
+        {x^a, s} = sum_i a_qi x^(a - e_qi) ds/dp_i - a_pi x^(a - e_pi) ds/dq_i.
+
+    The 2D partials of ``s`` are taken once, as integer numerators over one
+    denominator; each bracket is then a shift of their exponents.  Exponents
+    are packed into one int per monomial, total degree in the top field and
+    q1 most significant below it, so integer order is graded-lex order.
+    """
+    n, dof = s.ctx.nvars, s.ctx.dof
+    width = (max(map(sum, monos), default=0) + s.total_degree()).bit_length()
+    shifts = [width * (n - 1 - i) for i in range(n)]
+    units = [1 << shift for shift in shifts]
+    unit_degree = 1 << (width * n)
+    mask = (1 << width) - 1
+
+    def pack(exps: Expvec) -> int:
+        return sum(map(mul, exps, units)) + sum(exps) * unit_degree
+
+    den = lcm(*[c.denominator for c in s._terms.values()])
+    # factors[v]: the partial of s that the v-derivative of x^a meets,
+    # +ds/dp_i for v = q_i and -ds/dq_i for v = p_i
+    factors: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for exps, c in s._terms.items():
+        key, num = pack(exps), c.numerator * (den // c.denominator)
+        for w, e in enumerate(exps):
+            if e:
+                v, sign = (w - dof, 1) if w >= dof else (w + dof, -1)
+                factors[v].append((key - units[w] - unit_degree, sign * e * num))
+    names: dict[int, Expvec] = {}
+    for a in monos:
+        base = pack(a)
+        acc: dict[int, int] = {}
+        get = acc.get
+        for v, av in enumerate(a):
+            if av:
+                shift = base - units[v] - unit_degree
+                for key, num in factors[v]:
+                    key += shift
+                    acc[key] = get(key, 0) + av * num
+        block = []
+        for key in sorted(acc, reverse=True):
+            if num := acc[key]:
+                mono = names.get(key)
+                if mono is None:
+                    mono = names[key] = tuple((key >> shift) & mask for shift in shifts)
+                block.append((mono, Fraction(num, den)))
+        yield block
+
+
+def _rows(terms: Sequence[PhasePoly], closure: LieClosure) -> dict:
+    """The rows of ``bracket(sum_u x_u T_u, s) == 0`` for every seed ``s``.
+
+    Keyed ``(basis index of s, monomial)``, in order of first appearance:
+    seed, then ansatz term, then graded-lex-descending monomial of
+    ``bracket(T_u, s)``; each row maps ansatz index ``u`` to its coefficient.
+    When every term is a unit monomial, a seed's brackets come from
+    ``_monomial_brackets``: under Poisson, or under Moyal when hbar is 0 or
+    the seed has degree <= 2, where Moyal equals Poisson.  Otherwise each
+    bracket is taken with ``closure.bracket``.  Both give the same rows.
     """
     seeds = set(closure.seed_names)
+    monos = [_unit_exps(t) for t in terms]
+    closed_form = None not in monos
+    poisson = closure.bracket_kind == "poisson" or closure.ctx.hbar == 0
     rows: dict[tuple[int, Expvec], dict[int, Fraction]] = {}
     for k, elem in enumerate(closure.basis):
         if elem.is_identity or elem.name not in seeds:
             continue
-        for u, term in enumerate(terms):
+        s = elem.poly
+        if closed_form and (poisson or s.total_degree() <= 2):
+            blocks = _monomial_brackets(monos, s)
+        else:
+            blocks = (closure.bracket(term, s).term_items() for term in terms)
+        for u, block in enumerate(blocks):
             # a bracket's monomials are distinct: one entry per (row, term)
-            for mono, coeff in closure.bracket(term, elem.poly).term_items():
+            for mono, coeff in block:
                 rows.setdefault((k, mono), {})[u] = coeff
+    return rows
+
+
+def _solve(terms: Sequence[PhasePoly], closure: LieClosure):
+    """Solutions of ``bracket(sum_u x_u T_u, s) == 0`` for every seed ``s``.
+
+    One row per (seed, output monomial), built by ``_rows`` in an order that
+    ``nullspace``'s output depends on while its ``sparse_rref`` defect
+    stands; one column per ansatz term.  Returns, per nullspace vector, the
+    vector scaled so its first nonzero entry is 1, and its polynomial
+    ``sum_u x_u T_u``.
+    """
     solutions = []
-    for vec in nullspace(list(rows.values()), len(terms)):
+    for vec in nullspace(list(_rows(terms, closure).values()), len(terms)):
         lead = next(v for v in vec if v)
         vec = [v / lead for v in vec]
         acc: dict[Expvec, Fraction] = {}

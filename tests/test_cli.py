@@ -1,6 +1,9 @@
 import filecmp
+import io
 import json
 import math
+import sys
+import weakref
 
 import pytest
 
@@ -391,3 +394,40 @@ def test_memory_cap_applied(monkeypatch, capsys):
         expected = min(expected, real_hard)
     assert soft == expected
     assert hard == real_hard
+
+
+@pytest.mark.parametrize("cap", ["120", None])
+def test_out_of_memory_exits_five(monkeypatch, capsys, cap):
+    """A command that raises MemoryError ends with exit 5 and one stderr
+    line naming the cap, not a traceback, printed only once the failed
+    command's frames (and what they allocated) are released.  The cap
+    itself is not applied: it would limit the test process."""
+    from phasealg import cli
+
+    class Allocation:
+        pass
+
+    allocations = []
+
+    def exhausted(args):
+        held = Allocation()
+        allocations.append(weakref.ref(held))
+        raise MemoryError
+
+    class Stderr(io.StringIO):
+        def write(self, text):
+            assert allocations[0]() is None, "stderr written while the frames are alive"
+            return super().write(text)
+
+    stderr = Stderr()
+    monkeypatch.setattr(cli, "_apply_memory_cap", lambda: None)
+    monkeypatch.setattr(cli, "cmd_close", exhausted)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    if cap is None:
+        monkeypatch.delenv("PHASEALG_MAX_MEMORY_MB", raising=False)
+    else:
+        monkeypatch.setenv("PHASEALG_MAX_MEMORY_MB", cap)
+    assert main(["close", "nsphere"]) == 5
+    assert capsys.readouterr().out == ""
+    expected = f"PHASEALG_MAX_MEMORY_MB={cap}" if cap else "no PHASEALG_MAX_MEMORY_MB cap"
+    assert stderr.getvalue() == f"error: out of memory ({expected})\n"

@@ -252,3 +252,59 @@ def test_casimir_solutions_commute_with_everything():
         cl = sphere_closure(m=m, r0=r0)
         for sol in find_casimir(cl):
             assert verify_invariant(sol.realization, cl).passed
+
+
+def _bracket_rows(terms, closure):
+    """Reference rows: one ``closure.bracket`` per (seed, ansatz term), its
+    monomials in ``term_items`` order, keyed by first appearance."""
+    seeds = set(closure.seed_names)
+    rows = {}
+    for k, elem in enumerate(closure.basis):
+        if elem.is_identity or elem.name not in seeds:
+            continue
+        for u, term in enumerate(terms):
+            for mono, coeff in closure.bracket(term, elem.poly).term_items():
+                rows.setdefault((k, mono), {})[u] = coeff
+    return rows
+
+
+ROW_ORDER_CASES = {
+    "cm": (lambda: cm_closure(total_mass=3, x0=Fraction(-2, 5)), range(1, 6)),
+    "nsphere": (lambda: sphere_closure(m=Fraction(2, 3), r0=5), range(1, 6)),
+    "sphere-moyal": (lambda: sphere_closure(m=2, r0=3, bracket="moyal"), range(1, 4)),
+    "heisenberg": (lambda: _closure_of(1, "q1", "p1"), range(1, 5)),
+    "sp4": (lambda: _closure_of(2, "q1^2 + q2^2", "p1^2 + 3*p2^2", "q1*p2"), range(1, 4)),
+    # hbar = 1: the cubic seed's Moyal brackets differ from Poisson ones
+    "moyal-cubic-seed": (lambda: _closure_of(1, "q1^3", "p1", bracket="moyal"), range(1, 5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_ORDER_CASES))
+def test_closed_form_rows_match_bracket_rows(name, monkeypatch):
+    """``_rows`` for the centre ansatz equals the per-bracket reference key
+    for key, value for value and in insertion order (``nullspace`` depends
+    on the order), and takes the closed form for exactly the seeds where
+    the bracket is Poisson's."""
+    build, degrees = ROW_ORDER_CASES[name]
+    cl = build()
+    closed_form = []
+    real = invariants._monomial_brackets
+
+    def spy(monos, s):
+        closed_form.append(s)
+        return real(monos, s)
+
+    monkeypatch.setattr(invariants, "_monomial_brackets", spy)
+    seeds = [e.poly for e in cl.basis if e.name in cl.seed_names and not e.is_identity]
+    for d in degrees:
+        terms = [PhasePoly.monomial(cl.ctx, m) for m in monomials_up_to_degree(cl.ctx, d)]
+        closed_form.clear()
+        rows = invariants._rows(terms, cl)
+        expected = _bracket_rows(terms, cl)
+        assert list(rows) == list(expected)
+        assert [list(r.items()) for r in rows.values()] == [
+            list(r.items()) for r in expected.values()]
+        poisson = cl.bracket_kind == "poisson" or cl.ctx.hbar == 0
+        assert closed_form == [s for s in seeds if poisson or s.total_degree() <= 2]
+    if name == "moyal-cubic-seed":
+        assert all(s.total_degree() == 1 for s in closed_form)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from phasealg.closure import _leading
 from phasealg.linsolve import Echelon, invert, nullspace, sub_scaled
 
 
@@ -97,3 +98,114 @@ def test_echelon_rows_stay_reduced_with_coordinates():
         for j, f in coords.items():
             sub_scaled(rebuilt, inputs[j], -f)
         assert rebuilt == row
+
+
+def _reference_sub_scaled(row, other, factor, skip=None):
+    """``row -= factor * other`` in plain ``Fraction`` arithmetic."""
+    for c, v in other.items():
+        if c == skip:
+            continue
+        new = row.get(c, Fraction(0)) - factor * v
+        if new:
+            row[c] = new
+        else:
+            row.pop(c, None)
+
+
+class _ReferenceEchelon:
+    """The engine before integer numerators: ``reduce`` subtracts one stored
+    row at a time, ``add`` back-substitutes with ``Fraction`` arithmetic."""
+
+    def __init__(self, head=min):
+        self.head = head
+        self.rows = {}
+
+    def reduce(self, row):
+        rem = dict(row)
+        coords = {}
+        for col in [c for c in rem if c in self.rows]:
+            factor = rem.pop(col)
+            prow, pcoords = self.rows[col]
+            _reference_sub_scaled(rem, prow, factor, col)
+            _reference_sub_scaled(coords, pcoords, -factor)
+        return coords, rem
+
+    def add(self, row, key):
+        coords, rem = self.reduce(row)
+        if not rem:
+            return False
+        pivot = self.head(rem)
+        inv = 1 / rem[pivot]
+        rem = {c: v * inv for c, v in rem.items()}
+        coords = {k: -c * inv for k, c in coords.items()}
+        coords[key] = inv
+        for prow, pcoords in self.rows.values():
+            factor = prow.pop(pivot, None)
+            if factor:
+                _reference_sub_scaled(prow, rem, factor, pivot)
+                _reference_sub_scaled(pcoords, coords, factor)
+        self.rows[pivot] = (rem, coords)
+        return True
+
+
+def _big_fraction(rng):
+    num = rng.getrandbits(300) * rng.choice([-1, 1])
+    return Fraction(num or 1, rng.getrandbits(300) or 1)
+
+
+def _combination(rng, rows):
+    """A sum of random big multiples of ``rows``: a row in their span."""
+    out = {}
+    for row in rows:
+        _reference_sub_scaled(out, row, _big_fraction(rng))
+    return out
+
+
+@pytest.mark.parametrize("head", [min, _leading], ids=["min", "leading"])
+def test_echelon_matches_reference_on_big_rationals(head):
+    """After every ``add``, the integer engine's rows and its ``reduce``
+    of probe rows equal the reference's exactly, on ~300-bit rationals.
+    Probes: an empty row, a row in the span, a row off every pivot and a
+    random row."""
+    rng = random.Random(7919)
+    columns = [(i, j) for i in range(5) for j in range(5 - i)]   # 15 monomials in 2 vars
+    for trial in range(3):
+        ech, ref = Echelon(head), _ReferenceEchelon(head)
+        inputs = []
+        for key in range(12):
+            if inputs and rng.random() < 0.3:
+                row = _combination(rng, rng.sample(inputs, min(len(inputs), 3)))
+            else:
+                row = {c: _big_fraction(rng) for c in rng.sample(columns, rng.randint(1, 5))}
+            inputs.append(row)
+            assert ech.add(row, key) == ref.add(row, key)
+            assert ech.rows == ref.rows
+            free = [c for c in columns if c not in ref.rows]
+            probes = [
+                {},
+                _combination(rng, inputs),
+                {c: _big_fraction(rng) for c in rng.sample(free, min(len(free), 3))},
+                {c: _big_fraction(rng) for c in rng.sample(columns, 6)},
+            ]
+            for probe in probes:
+                assert ech.reduce(probe) == ref.reduce(probe)
+            assert ech.reduce(probes[1])[1] == {}
+
+
+def test_sub_scaled_matches_fraction_arithmetic():
+    rng = random.Random(104729)
+    for _ in range(200):
+        row = {c: _big_fraction(rng) for c in rng.sample(range(8), rng.randint(0, 6))}
+        other = {c: _big_fraction(rng) for c in rng.sample(range(8), rng.randint(0, 6))}
+        if other and rng.random() < 0.3:   # an entry that cancels exactly
+            c = rng.choice(list(other))
+            row[c] = other[c] * 3
+            factor = Fraction(3)
+        else:
+            factor = _big_fraction(rng)
+        skip = rng.choice([None, *other])
+        expected = dict(row)
+        _reference_sub_scaled(expected, other, factor, skip)
+        sub_scaled(row, other, factor, skip)
+        assert row == expected
+        assert all(v for v in row.values())
