@@ -66,6 +66,16 @@ _DEFAULT_OPTIONS = {
 }
 
 
+def _scalar(value, field: str, convert, kind: str):
+    """``convert(value)`` for a JSON string or integer (not a boolean)."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return convert(value)
+        except ValueError:
+            pass
+    raise ValueError(f"problem field {field!r} must be {kind}, got {json.dumps(value)}")
+
+
 class Problem:
     """Validated problem file contents."""
 
@@ -73,14 +83,13 @@ class Problem:
         if not isinstance(raw, dict):
             raise ValueError("problem file must hold a JSON object")
         self.origin = origin
-        dof = raw.get("dof")
-        if not isinstance(dof, int) or dof < 1:
+        self.dof = _scalar(raw.get("dof"), "dof", int, "a positive integer")
+        if self.dof < 1:
             raise ValueError("problem field 'dof' must be a positive integer")
-        self.dof = dof
         params = raw.get("params", {})
         if not isinstance(params, dict):
             raise ValueError("problem field 'params' must be an object")
-        self.params = {name: rat(value) for name, value in params.items()}
+        self.params = {k: _scalar(v, f"params.{k}", rat, "a rational") for k, v in params.items()}
         gens = raw.get("generators")
         if not isinstance(gens, dict) or not gens:
             raise ValueError("problem field 'generators' must be a nonempty object")
@@ -99,10 +108,10 @@ class Problem:
         if options["bracket"] not in ("poisson", "moyal"):
             raise ValueError("options.bracket must be 'poisson' or 'moyal'")
         self.bracket = options["bracket"]
-        self.hbar = rat(options["hbar"])
-        self.max_basis = int(options["max_basis"])
-        self.max_degree = int(options["max_degree"])
-        self.center_degree = int(options["center_degree"])
+        self.hbar = _scalar(options["hbar"], "options.hbar", rat, "a rational")
+        self.max_basis, self.max_degree, self.center_degree = (
+            _scalar(options[k], f"options.{k}", int, "an integer")
+            for k in ("max_basis", "max_degree", "center_degree"))
         self.options = options
 
     def apply_overrides(self, pairs: list[str]) -> None:

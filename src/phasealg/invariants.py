@@ -17,20 +17,15 @@ over the rationals and returns a canonical basis of its solution space;
 ``find_center`` checks its ansatz size against the cap before enumerating
 any monomial.
 
-The centre ansatz is all unit monomials, and the bracket of a monomial
-with a seed has a closed form,
-
-    {x^a, s} = sum_i a_qi x^(a - e_qi) ds/dp_i - a_pi x^(a - e_pi) ds/dq_i,
-
-so each seed's 2D partials are taken once per search and every row block
-is a shift of their exponents, with no bracket call per monomial.  It
-serves the Poisson bracket, and the Moyal bracket when hbar is 0 or the
-seed has degree <= 2, where Moyal equals Poisson.  Any other seed, and
-any ansatz that is not all unit monomials (``find_casimir``'s products of
-generators, in general), takes ``closure.bracket``.  Both paths emit the
-rows in the same order: seed, then ansatz term, then graded-lex-descending
-monomial; ``nullspace``'s output depends on that order while its
-``sparse_rref`` defect stands.
+One row builder serves both searches.  Every ansatz term is a sum of
+monomials, and a monomial's Poisson bracket with a seed has a closed form in
+the seed's partials (``_monomial_brackets``), so each seed's partials are
+taken once per search and no bracket is taken per term.  The one fork is
+the Moyal guard: Moyal equals Poisson when hbar is 0 or the seed has degree
+<= 2, and any other Moyal seed takes ``closure.bracket``.  Rows come in one
+order either way (seed, ansatz term, graded-lex-descending monomial);
+``nullspace``'s output depends on it while its ``sparse_rref`` defect
+stands.
 
 ``verify_invariant`` stays an independent check against the full basis.
 An empty nontrivial solution set is a meaningful result: for an
@@ -88,28 +83,20 @@ class InvariantReport:
     passed: bool
 
 
-def _unit_exps(term: PhasePoly) -> Expvec | None:
-    """The exponent vector of ``term`` if it is a monomial with coefficient 1."""
-    if len(term._terms) == 1:
-        ((exps, coeff),) = term._terms.items()
-        if coeff == 1:
-            return exps
-    return None
-
-
-def _monomial_brackets(monos: Sequence[Expvec], s: PhasePoly):
-    """Yield the Poisson bracket ``{x^a, s}`` for each ``a`` in ``monos``, as
-    its terms in graded-lex descending order (``PhasePoly.term_items``):
+def _monomial_brackets(terms: Sequence[PhasePoly], s: PhasePoly):
+    """Yield the Poisson bracket ``{T, s}`` for each ``T`` in ``terms``, as its
+    terms in graded-lex descending order (``PhasePoly.term_items``), from
 
         {x^a, s} = sum_i a_qi x^(a - e_qi) ds/dp_i - a_pi x^(a - e_pi) ds/dq_i.
 
     The 2D partials of ``s`` are taken once, as integer numerators over one
-    denominator; each bracket is then a shift of their exponents.  Exponents
+    denominator; each monomial's bracket is a shift of their exponents,
+    weighted by its coefficient over its term's own denominator.  Exponents
     are packed into one int per monomial, total degree in the top field and
     q1 most significant below it, so integer order is graded-lex order.
     """
     n, dof = s.ctx.nvars, s.ctx.dof
-    width = (max(map(sum, monos), default=0) + s.total_degree()).bit_length()
+    width = (max((t.total_degree() for t in terms), default=0) + s.total_degree()).bit_length()
     shifts = [width * (n - 1 - i) for i in range(n)]
     units = [1 << shift for shift in shifts]
     unit_degree = 1 << (width * n)
@@ -129,23 +116,27 @@ def _monomial_brackets(monos: Sequence[Expvec], s: PhasePoly):
                 v, sign = (w - dof, 1) if w >= dof else (w + dof, -1)
                 factors[v].append((key - units[w] - unit_degree, sign * e * num))
     names: dict[int, Expvec] = {}
-    for a in monos:
-        base = pack(a)
+    for term in terms:
+        term_den = lcm(*[c.denominator for c in term._terms.values()])
         acc: dict[int, int] = {}
         get = acc.get
-        for v, av in enumerate(a):
-            if av:
-                shift = base - units[v] - unit_degree
-                for key, num in factors[v]:
-                    key += shift
-                    acc[key] = get(key, 0) + av * num
+        for a, c in term._terms.items():
+            base = pack(a) - unit_degree
+            scale = c.numerator * (term_den // c.denominator)
+            for v, av in enumerate(a):
+                if av:
+                    shift, weight = base - units[v], av * scale
+                    for key, num in factors[v]:
+                        key += shift
+                        acc[key] = get(key, 0) + weight * num
+        term_den *= den
         block = []
         for key in sorted(acc, reverse=True):
             if num := acc[key]:
                 mono = names.get(key)
                 if mono is None:
                     mono = names[key] = tuple((key >> shift) & mask for shift in shifts)
-                block.append((mono, Fraction(num, den)))
+                block.append((mono, Fraction(num, term_den)))
         yield block
 
 
@@ -155,22 +146,20 @@ def _rows(terms: Sequence[PhasePoly], closure: LieClosure) -> dict:
     Keyed ``(basis index of s, monomial)``, in order of first appearance:
     seed, then ansatz term, then graded-lex-descending monomial of
     ``bracket(T_u, s)``; each row maps ansatz index ``u`` to its coefficient.
-    When every term is a unit monomial, a seed's brackets come from
-    ``_monomial_brackets``: under Poisson, or under Moyal when hbar is 0 or
-    the seed has degree <= 2, where Moyal equals Poisson.  Otherwise each
-    bracket is taken with ``closure.bracket``.  Both give the same rows.
+    Every block comes from the seed's partials (``_monomial_brackets``),
+    whatever the ansatz.  The one fork is the Moyal guard: a Moyal seed of
+    degree > 2 at hbar != 0, where Moyal differs from Poisson, takes one
+    ``closure.bracket`` per term instead.  Both give the same rows.
     """
     seeds = set(closure.seed_names)
-    monos = [_unit_exps(t) for t in terms]
-    closed_form = None not in monos
     poisson = closure.bracket_kind == "poisson" or closure.ctx.hbar == 0
     rows: dict[tuple[int, Expvec], dict[int, Fraction]] = {}
     for k, elem in enumerate(closure.basis):
         if elem.is_identity or elem.name not in seeds:
             continue
         s = elem.poly
-        if closed_form and (poisson or s.total_degree() <= 2):
-            blocks = _monomial_brackets(monos, s)
+        if poisson or s.total_degree() <= 2:
+            blocks = _monomial_brackets(terms, s)
         else:
             blocks = (closure.bracket(term, s).term_items() for term in terms)
         for u, block in enumerate(blocks):

@@ -127,6 +127,27 @@ def test_close_rejects_unknown_option(tmp_path, capsys):
     assert "color" in err
 
 
+BAD_FIELD_TYPES = {
+    "params-float": ({"params": {"m": 1.5}}, "params.m"),
+    "hbar-float": ({"options": {"hbar": 0.5}}, "options.hbar"),
+    "hbar-null": ({"options": {"hbar": None}}, "options.hbar"),
+    "max-basis-list": ({"options": {"max_basis": [32]}}, "options.max_basis"),
+    "dof-bool": ({"dof": True}, "dof"),
+    "max-basis-float": ({"options": {"max_basis": 2.9}}, "options.max_basis"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FIELD_TYPES))
+def test_invariants_rejects_bad_field_types(case, tmp_path, capsys):
+    fields, name = BAD_FIELD_TYPES[case]
+    payload = {"dof": 1, "generators": {"H": "p1^2"}, **fields}
+    code = main(["invariants", write_problem(tmp_path, "bad.json", payload)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and f"'{name}'" in err
+    assert "Traceback" not in err
+
+
 def test_invariants_sphere_full(capsys):
     code, report = run_json(capsys, ["invariants", "nsphere"])
     assert code == 0

@@ -279,32 +279,47 @@ ROW_ORDER_CASES = {
 }
 
 
+def _casimir_terms(closure, monkeypatch):
+    """The ansatz ``find_casimir`` hands to ``_solve``: products, generators
+    and the constant."""
+    seen = []
+    with monkeypatch.context() as m:
+        m.setattr(invariants, "_solve", lambda terms, cl: seen.append(terms) or [])
+        find_casimir(closure)
+    (terms,) = seen
+    return terms
+
+
 @pytest.mark.parametrize("name", sorted(ROW_ORDER_CASES))
 def test_closed_form_rows_match_bracket_rows(name, monkeypatch):
-    """``_rows`` for the centre ansatz equals the per-bracket reference key
-    for key, value for value and in insertion order (``nullspace`` depends
-    on the order), and takes the closed form for exactly the seeds where
-    the bracket is Poisson's."""
+    """``_rows`` for the centre ansatz at each degree and for the Casimir
+    ansatz equals the per-bracket reference key for key, value for value
+    and in insertion order (``nullspace`` depends on the order), and takes
+    the closed form for exactly the seeds where the bracket is Poisson's."""
     build, degrees = ROW_ORDER_CASES[name]
     cl = build()
+    ansatzes = [
+        [PhasePoly.monomial(cl.ctx, m) for m in monomials_up_to_degree(cl.ctx, d)]
+        for d in degrees
+    ]
+    ansatzes.append(_casimir_terms(cl, monkeypatch))
     closed_form = []
     real = invariants._monomial_brackets
 
-    def spy(monos, s):
+    def spy(terms, s):
         closed_form.append(s)
-        return real(monos, s)
+        return real(terms, s)
 
     monkeypatch.setattr(invariants, "_monomial_brackets", spy)
     seeds = [e.poly for e in cl.basis if e.name in cl.seed_names and not e.is_identity]
-    for d in degrees:
-        terms = [PhasePoly.monomial(cl.ctx, m) for m in monomials_up_to_degree(cl.ctx, d)]
+    poisson = cl.bracket_kind == "poisson" or cl.ctx.hbar == 0
+    for terms in ansatzes:
         closed_form.clear()
         rows = invariants._rows(terms, cl)
         expected = _bracket_rows(terms, cl)
         assert list(rows) == list(expected)
         assert [list(r.items()) for r in rows.values()] == [
             list(r.items()) for r in expected.values()]
-        poisson = cl.bracket_kind == "poisson" or cl.ctx.hbar == 0
         assert closed_form == [s for s in seeds if poisson or s.total_degree() <= 2]
     if name == "moyal-cubic-seed":
         assert all(s.total_degree() == 1 for s in closed_form)

@@ -1,6 +1,7 @@
 """Property tests of the product and bracket kernels, with sympy as an
-independent oracle.  Hypothesis runs derandomized and without an example
-database, so every run draws the same examples."""
+independent oracle, and of the brackets' invariance under the canonical
+maps of ``separation``.  Hypothesis runs derandomized and without an
+example database, so every run draws the same examples."""
 
 from fractions import Fraction
 
@@ -9,7 +10,14 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasealg import PhaseContext, PhasePoly, moyal_bracket, poisson_bracket
+from phasealg import (
+    PhaseContext,
+    PhasePoly,
+    jacobi_transform,
+    moyal_bracket,
+    poisson_bracket,
+    two_body_transform,
+)
 
 # On a failure hypothesis's pytest plugin imports libcst to suggest an
 # @example patch, and libcst's import raises this third-party deprecation;
@@ -30,8 +38,8 @@ def polys(ctx: PhaseContext, max_exp: int = 3, max_terms: int = 5):
     return st.dictionaries(exps, COEFFS, max_size=max_terms).map(lambda t: PhasePoly(ctx, t))
 
 
-def low_degree_polys(ctx: PhaseContext):
-    """Polynomials of total degree <= 2."""
+def low_degree_polys(ctx: PhaseContext, degree: int = 2):
+    """Polynomials of total degree <= ``degree``."""
 
     def exps(indices):
         out = [0] * ctx.nvars
@@ -39,7 +47,7 @@ def low_degree_polys(ctx: PhaseContext):
             out[i] += 1
         return tuple(out)
 
-    monomials = st.lists(st.integers(0, ctx.nvars - 1), max_size=2).map(exps)
+    monomials = st.lists(st.integers(0, ctx.nvars - 1), max_size=degree).map(exps)
     return st.dictionaries(monomials, COEFFS, max_size=6).map(lambda t: PhasePoly(ctx, t))
 
 
@@ -124,3 +132,31 @@ def test_moyal_equals_poisson_at_degree_two(pair):
     low, other = pair
     assert moyal_bracket(low, other) == poisson_bracket(low, other)
     assert moyal_bracket(other, low) == poisson_bracket(other, low)
+
+
+MASSES = st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=6)
+CANONICAL_MAPS = st.one_of(
+    st.builds(two_body_transform, MASSES, MASSES, d=st.integers(1, 2)),
+    st.builds(jacobi_transform, st.lists(MASSES, min_size=3, max_size=3), d=st.integers(1, 2)),
+)
+
+
+@pytest.mark.parametrize(
+    "bracket, hbar",
+    [(poisson_bracket, 1), (moyal_bracket, 1), (moyal_bracket, Fraction(3, 2))],
+    ids=["poisson", "moyal-hbar-1", "moyal-hbar-3/2"],
+)
+@PROPERTY
+@given(CANONICAL_MAPS, st.data())
+def test_brackets_invariant_under_canonical_maps(bracket, hbar, cmap, data):
+    """Rewriting f and g in the new variables, then bracketing, equals
+    bracketing, then rewriting: the maps are linear and symplectic."""
+    old = cmap.old_context(hbar=hbar)
+    new = PhaseContext(old.dof, hbar=hbar)
+    images = cmap.old_variable_images(new)
+    f, g = data.draw(st.tuples(*[low_degree_polys(old, 3)] * 2))
+
+    def rewrite(p):
+        return p.substitute(images, new)
+
+    assert bracket(rewrite(f), rewrite(g)) == rewrite(bracket(f, g))
