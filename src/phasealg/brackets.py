@@ -17,8 +17,10 @@ Poisson bracket.  The symbol of the commutator is i*hbar*{A, B}_M, so the
 bracket reduces to the Poisson bracket both for hbar -> 0 and whenever either
 argument has total degree <= 2.
 
-Both brackets run on one kernel over packed terms (``poly._pack``).  On a
-pair of monomials the Poisson bracket is
+Both brackets run on one kernel over packed terms (``poly._pack``).  The
+layout of a packed key belongs to ``poly``: the kernel knows only each
+variable's unit key (``poly._units``), which one derivative subtracts.  On
+a pair of monomials the Poisson bracket is
 
     {x^a, x^b} = sum_i (a_qi b_pi - a_pi b_qi) x^(a + b - e_qi - e_pi)
 
@@ -39,15 +41,15 @@ a branch ends as soon as either list is empty or the caps of the slots
 left cannot hold the rest of k, and only compositions with surviving terms
 are multiplied out.  Products accumulate as integers in one dict keyed by
 packed exponents; the factor (-1)^((k-1)/2) (hbar/2)^(k-1) is folded into
-A's numerators over a denominator shared by every k, so one Fraction is
-built per output term.
+A's numerators over a denominator shared by every k, so unpacking the
+result builds one Fraction per distinct output numerator.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
 
-from .poly import Packed, PhasePoly, _layout, _maxima, _pack, _product_into, _unpack
+from .poly import Packed, PhasePoly, _layout, _maxima, _pack, _product_into, _units, _unpack
 
 
 def poisson_bracket(a: PhasePoly, b: PhasePoly) -> PhasePoly:
@@ -66,12 +68,13 @@ def _series(a: PhasePoly, b: PhasePoly, top: int) -> PhasePoly:
     ctx = a.ctx
     dof = ctx.dof
     max_a, max_b = _maxima(a), _maxima(b)
-    fields = _layout(x + y for x, y in zip(max_a, max_b))
-    terms_a, den_a = _pack(a, fields)
-    terms_b, den_b = _pack(b, fields)
+    layout = _layout([x + y for x, y in zip(max_a, max_b)])
+    units = _units(layout)
+    terms_a, den_a = _pack(a, layout)
+    terms_b, den_b = _pack(b, layout)
     # (A variable, B variable, sign): s_i = d/dq_i (x) d/dp_i, t_i = -d/dp_i (x) d/dq_i
     pairs = [(i, dof + i, False) for i in range(dof)] + [(dof + i, i, True) for i in range(dof)]
-    slots = [(va, vb, neg, 1 << fields[va][0], 1 << fields[vb][0], min(max_a[va], max_b[vb]))
+    slots = [(va, vb, neg, units[va], units[vb], min(max_a[va], max_b[vb]))
              for va, vb, neg in pairs]
     room = list(accumulate(reversed([slot[-1] for slot in slots]), initial=0))[::-1]
     acc: dict[int, int] = {}
@@ -81,7 +84,7 @@ def _series(a: PhasePoly, b: PhasePoly, top: int) -> PhasePoly:
         scale = (-1) ** (k // 2) * half.numerator ** (k - 1) * half.denominator ** (last - k)
         scaled = terms_a if scale == 1 else [(key, num * scale, exps) for key, num, exps in terms_a]
         _walk(acc, slots, room, 0, k, scaled, terms_b)
-    return _unpack(ctx, acc, fields, den_a * den_b * half.denominator ** max(last - 1, 0))
+    return _unpack(ctx, acc, layout, den_a * den_b * half.denominator ** max(last - 1, 0))
 
 
 def _walk(acc: dict[int, int], slots: list, room: list[int], slot: int, left: int,

@@ -10,24 +10,28 @@ order, highest first: total degree decides, ties break lexicographically
 on the exponent vector with q1 most significant.
 
 Products and brackets run on a packed form, built per call: each exponent
-vector becomes one int with a bit field per variable, and the coefficients
-become int numerators over one shared denominator.  ``Fraction`` appears
-again only once per output term, when the result is unpacked.
+vector becomes one int with a byte-aligned field per variable, all fields
+of one width (1, 2, 4 or 8 bytes), and the coefficients become int
+numerators over one shared denominator.  Packing and unpacking a term is
+one ``struct`` call each way.  ``Fraction`` appears again only when the
+result is unpacked, once per distinct numerator, shared by every term that
+has it.  An exponent a call could reach that needs more than 64 bits
+raises ``OverflowError``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from struct import Struct
 from typing import Iterable, Mapping
 
 from .context import PhaseContext
 from .rational import rat
 
 Expvec = tuple[int, ...]
-Fields = list[tuple[int, int]]   # (shift, mask) of each variable's bit field
 Packed = list[tuple[int, int, Expvec]]   # (packed exponents, integer numerator, exponents)
+_WIDTHS = {"B": 1, "H": 2, "I": 4, "Q": 8}   # struct code -> bytes per packed field
 
 
 def _grlex_key(exps: Expvec) -> tuple[int, Expvec]:
@@ -41,41 +45,51 @@ def _maxima(p: "PhasePoly") -> list[int]:
     return list(map(max, zip(*p._terms)))
 
 
-def _layout(tops: Iterable[int]) -> Fields:
-    """Bit fields wide enough to hold exponent ``tops[i]`` in variable i.
+def _layout(tops: list[int]) -> Struct:
+    """Byte-aligned fields, one per variable, wide enough to hold exponent
+    ``tops[i]`` in variable i.
 
     Callers pass the largest exponent any result of the call can reach in
     each variable (for a product, the sum of the operands' maxima), so the
     sum of two packed keys never carries from one field into the next.
+    Every field gets the width of the widest, so a key is the little-endian
+    integer of one ``struct`` record.  A top of 2^64 or more raises
+    ``OverflowError``.
     """
-    fields: Fields = []
-    shift = 0
-    for top in tops:
-        width = top.bit_length()
-        fields.append((shift, (1 << width) - 1))
-        shift += width
-    return fields
+    top = max(tops)
+    for code, width in _WIDTHS.items():
+        if top >> 8 * width == 0:
+            return Struct(f"<{len(tops)}{code}")
+    raise OverflowError(f"exponent {top} does not fit a 64-bit packed field")
 
 
-def _pack(p: "PhasePoly", fields: Fields) -> tuple[Packed, int]:
+def _units(layout: Struct) -> list[int]:
+    """The packed key of each variable's first power, in variable order."""
+    bits = 8 * _WIDTHS[layout.format[-1]]
+    return [1 << shift for shift in range(0, 8 * layout.size, bits)]
+
+
+def _pack(p: "PhasePoly", layout: Struct) -> tuple[Packed, int]:
     """The terms of ``p`` in packed form, in ``_terms`` order, and their denominator."""
     den = lcm(*[c.denominator for c in p._terms.values()])
-    units = [1 << shift for shift, _ in fields]
+    pack = layout.pack
     packed = [
-        (sum(map(mul, exps, units)), c.numerator * (den // c.denominator), exps)
+        (int.from_bytes(pack(*exps), "little"), c.numerator * (den // c.denominator), exps)
         for exps, c in p._terms.items()
     ]
     return packed, den
 
 
-def _unpack(ctx: PhaseContext, acc: Mapping[int, int], fields: Fields, den: int) -> "PhasePoly":
-    """The polynomial sum of ``acc[key] / den * x^key`` over packed keys."""
-    keys = [key for key, num in acc.items() if num]
-    # One column of exponents per variable, zipped into tuples: about twice
-    # as fast as building each tuple from its key.
-    columns = [[(key >> shift) & mask for key in keys] for shift, mask in fields]
+def _unpack(ctx: PhaseContext, acc: Mapping[int, int], layout: Struct, den: int) -> "PhasePoly":
+    """The polynomial sum of ``acc[key] / den * x^key`` over packed keys.
+
+    One ``Fraction`` is built per distinct nonzero numerator and shared by
+    every term that has it (a ``Fraction`` is immutable).
+    """
+    shared = {num: Fraction(num, den) for num in set(acc.values()) if num}
+    size, unpack = layout.size, layout.unpack
     return PhasePoly._build(ctx, {
-        exps: Fraction(acc[key], den) for exps, key in zip(zip(*columns), keys)
+        unpack(key.to_bytes(size, "little")): shared[num] for key, num in acc.items() if num
     })
 
 
@@ -235,12 +249,12 @@ class PhasePoly:
         if not isinstance(other, PhasePoly):
             return NotImplemented
         self.ctx.require_same(other.ctx)
-        fields = _layout(x + y for x, y in zip(_maxima(self), _maxima(other)))
-        left, den_left = _pack(self, fields)
-        right, den_right = _pack(other, fields)
+        layout = _layout([x + y for x, y in zip(_maxima(self), _maxima(other))])
+        left, den_left = _pack(self, layout)
+        right, den_right = _pack(other, layout)
         acc: dict[int, int] = {}
         _product_into(acc, left, right)
-        return _unpack(self.ctx, acc, fields, den_left * den_right)
+        return _unpack(self.ctx, acc, layout, den_left * den_right)
 
     __rmul__ = __mul__
 
@@ -369,25 +383,19 @@ def format_poly(p: PhasePoly) -> str:
     """
     if p.is_zero():
         return "0"
+    names = [p.ctx.var_name(i) for i in range(p.ctx.nvars)]
     parts: list[str] = []
     for exps, coeff in p.term_items():
-        factors = []
-        for i, e in enumerate(exps):
-            if e == 0:
-                continue
-            name = p.ctx.var_name(i)
-            factors.append(name if e == 1 else f"{name}^{e}")
-        mag = abs(coeff)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
+        num, den = coeff.numerator, coeff.denominator
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        if mag != "1" or not factors:
+            factors.insert(0, mag)
+        body = "*".join(factors)
+        if parts:
+            parts.append(f"- {body}" if num < 0 else f"+ {body}")
         else:
-            body = "*".join([str(mag)] + factors)
-        if not parts:
-            parts.append(body if coeff > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+            parts.append(f"-{body}" if num < 0 else body)
     return " ".join(parts)
 
 

@@ -45,7 +45,10 @@ def edge_operands(ctx: PhaseContext) -> list[PhasePoly]:
     """Zero, constant and linear operands, and monomials whose exponents
     exceed a degree budget of 4 and whose pairwise sums land exactly on
     2^k - 1 and 2^k, where a packed exponent field one bit too narrow
-    would carry into its neighbour."""
+    would carry into its neighbour.  At D=1 a further pair, with maxima
+    127/128 against 128/127, lands on 255 and 256, the first byte
+    boundary of the packed fields; each of its terms is a power of one
+    variable, which keeps its Moyal series short."""
     d = ctx.dof
 
     def mono(coeff, *powers):
@@ -55,13 +58,17 @@ def edge_operands(ctx: PhaseContext) -> list[PhasePoly]:
         return PhasePoly.monomial(ctx, exps, coeff)
 
     big = 31 if d == 1 else 7
-    return [
+    edges = [
         PhasePoly.zero(ctx),
         PhasePoly.constant(ctx, Fraction(7, 3)),
         mono(1, (0, 1)) + mono(-2, (2 * d - 1, 1)) + Fraction(1, 2),
         mono(1, (0, big), (d, big + 1)),
         mono(1, (0, big + 2), (d, big)) + mono(Fraction(-3, 5), (d - 1, big + 1)),
     ]
+    if d == 1:
+        edges += [mono(Fraction(5, 2), (0, 127)) + mono(-3, (1, 128)),
+                  mono(1, (0, 128)) + mono(Fraction(-1, 4), (1, 127))]
+    return edges
 
 
 def kernel_cases(seed: int, dofs, hbars=(1,), randoms: int = 8, max_degree: int = 5, max_terms: int = 6):

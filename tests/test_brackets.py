@@ -202,6 +202,17 @@ def test_poisson_agrees_with_derivative_products():
         assert poisson_bracket(a, b) == derivative_product_poisson(a, b)
 
 
+def test_poisson_across_the_two_byte_boundary():
+    """The bracket's exponents land on 65536 in q1 and 65535 in p1, either
+    side of a 2-byte field; q1^65536 in a field too narrow would carry into q2."""
+    ctx = PhaseContext(2)
+    a = PhasePoly.monomial(ctx, (32768, 0, 32768, 0), Fraction(1, 3))
+    b = PhasePoly.monomial(ctx, (32769, 0, 32768, 0)) + PhasePoly.monomial(ctx, (0, 1, 0, 0), 2)
+    want = PhasePoly.monomial(ctx, (65536, 0, 65535, 0), Fraction(32768 * 32768 - 32768 * 32769, 3))
+    assert poisson_bracket(a, b) == want
+    assert poisson_bracket(a, b) == derivative_product_poisson(a, b)
+
+
 def test_moyal_agrees_with_brute_force_on_kernel_cases():
     hbars = (0, 1, Fraction(3, 2), Fraction(-2, 7))
     for a, b in kernel_cases(2718, dofs=(1, 2), hbars=hbars, randoms=6, max_degree=4):

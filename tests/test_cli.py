@@ -134,6 +134,8 @@ BAD_FIELD_TYPES = {
     "max-basis-list": ({"options": {"max_basis": [32]}}, "options.max_basis"),
     "dof-bool": ({"dof": True}, "dof"),
     "max-basis-float": ({"options": {"max_basis": 2.9}}, "options.max_basis"),
+    "max-basis-negative": ({"options": {"max_basis": -1}}, "options.max_basis"),
+    "center-degree-negative": ({"options": {"center_degree": -1}}, "options.center_degree"),
 }
 
 
@@ -142,8 +144,9 @@ def test_invariants_rejects_bad_field_types(case, tmp_path, capsys):
     fields, name = BAD_FIELD_TYPES[case]
     payload = {"dof": 1, "generators": {"H": "p1^2"}, **fields}
     code = main(["invariants", write_problem(tmp_path, "bad.json", payload)])
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code == 2
+    assert out == ""
     assert err.startswith("error: ") and f"'{name}'" in err
     assert "Traceback" not in err
 

@@ -1,11 +1,15 @@
-"""Pinned answers: a few ``algebra`` benchmark instances, run through
+"""Pinned answers: a few benchmark instances, run through
 ``bench/workloads.py``, must reproduce the SHA-256 digests of their
-canonical output recorded in ``bench/golden/algebra.json`` (read only).
+canonical output recorded in ``bench/golden/<workload>.json`` (read only)
+and pass the workload's own oracle check.
 
-The instances cover the answers most exposed to a change in the exact
-engine: ``sp4-sub/2`` pins the row order ``nullspace`` depends on,
+The ``algebra`` instances cover the answers most exposed to a change in the
+exact engine: ``sp4-sub/2`` pins the row order ``nullspace`` depends on,
 ``sp6-full/0`` the largest elimination, and ``cm/1`` and ``nsphere/1``
-centre searches at degree 5.  A drift shows here before a benchmark run.
+centre searches at degree 5.  The ``brackets`` instances pin the packed
+kernel's output: the largest Moyal series (D=6, degree 6, 96 terms), a
+large Poisson bracket at D=5 and a small one at D=3.  A drift shows here
+before a benchmark run.
 """
 
 import hashlib
@@ -16,19 +20,32 @@ from pathlib import Path
 import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-PINNED = ["sp4-sub/2", "sp6-full/0", "cm/1", "nsphere/1"]
+PINNED_ALGEBRA = ["sp4-sub/2", "sp6-full/0", "cm/1", "nsphere/1"]
+PINNED_BRACKETS = ["D6-deg6-L-moyal/0", "D5-deg6-L-poisson/3", "D3-deg4-S-poisson/0"]
 
 
-@pytest.mark.parametrize("instance", PINNED)
-def test_algebra_instance_matches_golden_digest(instance, monkeypatch):
+def run_pinned(workload: str, instance: str, monkeypatch):
+    """Run one instance, check it against its golden digest and its oracle
+    check, and return its output."""
     monkeypatch.syspath_prepend(str(BENCH))
     import workloads
 
-    golden = json.loads((BENCH / "golden" / "algebra.json").read_text())["digests"]
+    golden = json.loads((BENCH / "golden" / f"{workload}.json").read_text())["digests"]
     cls, k = instance.split("/")
-    job = workloads.WORKLOADS["algebra"]().instance(cls, int(k))
+    job = workloads.WORKLOADS[workload]().instance(cls, int(k))
     out = job.run()
     assert job.check(out, random.Random(instance)) == []
     assert hashlib.sha256(job.canon(out)).hexdigest() == golden[job.id]
-    if cls in ("cm", "nsphere"):
+    return out
+
+
+@pytest.mark.parametrize("instance", PINNED_ALGEBRA)
+def test_algebra_instance_matches_golden_digest(instance, monkeypatch):
+    out = run_pinned("algebra", instance, monkeypatch)
+    if instance.split("/")[0] in ("cm", "nsphere"):
         assert out["center"].degree == 5
+
+
+@pytest.mark.parametrize("instance", PINNED_BRACKETS)
+def test_brackets_instance_matches_golden_digest(instance, monkeypatch):
+    run_pinned("brackets", instance, monkeypatch)

@@ -8,8 +8,14 @@ from phasealg import (
     ContextMismatchError,
     PhaseContext,
     PhasePoly,
+    close_algebra,
+    find_center,
+    format_poly,
+    moyal_bracket,
     partial_derivative,
+    poisson_bracket,
 )
+from phasealg.cli import load_problem
 
 
 def dense_product(a: PhasePoly, b: PhasePoly) -> PhasePoly:
@@ -196,3 +202,75 @@ def test_total_degree_is_max_over_terms(ctx):
 def test_mul_agrees_with_dense_product():
     for a, b in kernel_cases(1729, dofs=(1, 2, 3, 4), randoms=12):
         assert a * b == dense_product(a, b)
+
+
+def test_mul_across_the_two_byte_boundary():
+    """Exponent sums of 65535 and 65536 sit on both sides of a 2-byte field;
+    q1^65536 in a field one byte too narrow would carry into p1."""
+    ctx = PhaseContext(1)
+    a = PhasePoly.monomial(ctx, (32768, 32767), Fraction(3, 2)) + PhasePoly.monomial(ctx, (1, 32768), -1)
+    b = PhasePoly.monomial(ctx, (32768, 32768)) + PhasePoly.monomial(ctx, (0, 1), 5)
+    product = a * b
+    assert product == dense_product(a, b)
+    assert product.coefficient((65536, 65535)) == Fraction(3, 2)
+    assert product.coefficient((32769, 65536)) == -1
+
+
+def test_mul_rejects_exponents_past_64_bits():
+    ctx = PhaseContext(1)
+    q_half = PhasePoly.monomial(ctx, (2**63, 0))
+    widest = q_half * PhasePoly.monomial(ctx, (2**63 - 1, 1))
+    assert widest == PhasePoly.monomial(ctx, (2**64 - 1, 1))
+    with pytest.raises(OverflowError, match=str(2**64)):
+        q_half * q_half
+
+
+def reference_format_poly(p: PhasePoly) -> str:
+    """Reference formatter: magnitudes and signs through ``Fraction`` arithmetic."""
+    if p.is_zero():
+        return "0"
+    parts: list[str] = []
+    for exps, coeff in p.term_items():
+        factors = []
+        for i, e in enumerate(exps):
+            if e == 0:
+                continue
+            name = p.ctx.var_name(i)
+            factors.append(name if e == 1 else f"{name}^{e}")
+        mag = abs(coeff)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(mag)] + factors)
+        if not parts:
+            parts.append(body if coeff > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def formatter_cases():
+    """Kernel results, small signed constants and monomials, and the
+    closures and centre solutions of the bundled problems that close."""
+    for a, b in kernel_cases(1729, dofs=(1, 2, 3, 4), hbars=(Fraction(3, 2),), randoms=12):
+        yield a * b
+        yield poisson_bracket(a, b)
+        yield moyal_bracket(a, b)
+    ctx = PhaseContext(2)
+    for coeff in (1, -1, 2, -2, Fraction(1, 3), Fraction(-5, 3)):
+        yield PhasePoly.constant(ctx, coeff)
+        yield PhasePoly.monomial(ctx, (1, 0, 2, 0), coeff) - PhasePoly.variable(ctx, "p2")
+    for name in ("nsphere", "cm"):
+        problem = load_problem(name)
+        closure = close_algebra(problem.seeds(problem.context()), bracket_kind=problem.bracket,
+                                max_basis=problem.max_basis, max_degree=problem.max_degree)
+        yield from (e.poly for e in closure.basis)
+        for degree in (problem.center_degree, 4):
+            yield from find_center(closure, max_total_degree=degree).solutions
+
+
+def test_format_poly_matches_reference():
+    for p in formatter_cases():
+        assert format_poly(p) == reference_format_poly(p)
