@@ -31,34 +31,30 @@ counting d/dq_i (x) d/dp_i factors and t_i counting -d/dp_i (x) d/dq_i:
         prod_i C(a_qi, s_i) C(a_pi, t_i) (b_pi)_s_i (b_qi)_t_i
         * x^(a + b - sum_i (s_i + t_i)(e_qi + e_pi))
 
-with (n)_m the falling factorial; k = 1 gives the Poisson formula.  The
-kernel fills the slots in turn, differentiating the packed term lists of A
-and B as it goes and dropping the terms the derivative kills, so
+with (n)_m the falling factorial; k = 1 gives the Poisson formula.  One
+walk serves every k: it fills the slots in turn with at most ``top``
+derivatives in all, differentiating the packed term lists of A and B as it
+goes and dropping the terms the derivative kills, so
 
     s_i <= min(max_A a_qi, max_B b_pi),   t_i <= min(max_A a_pi, max_B b_qi),
 
-a branch ends as soon as either list is empty or the caps of the slots
-left cannot hold the rest of k, and only compositions with surviving terms
-are multiplied out.  Products accumulate as integers in one dict keyed by
-packed exponents; the factor (-1)^((k-1)/2) (hbar/2)^(k-1) is folded into
-A's numerators over a denominator shared by every k, so unpacking the
-result builds one Fraction per distinct output numerator.
+a branch ends once either list is empty, and a composition of k is complete
+once the budget is spent or the last slot is filled.  There, for odd k, A's
+surviving numerators are scaled by (-1)^((k-1)/2) (hbar/2)^(k-1) over one
+denominator shared by every k and multiplied out into one integer dict keyed
+by packed exponents; unpacking it builds one Fraction per distinct numerator.
 """
 
 from __future__ import annotations
-
-from itertools import accumulate
 
 from .poly import Packed, PhasePoly, _layout, _maxima, _pack, _product_into, _units, _unpack
 
 
 def poisson_bracket(a: PhasePoly, b: PhasePoly) -> PhasePoly:
-    a.ctx.require_same(b.ctx)
     return _series(a, b, 1)
 
 
 def moyal_bracket(a: PhasePoly, b: PhasePoly) -> PhasePoly:
-    a.ctx.require_same(b.ctx)
     top = 1 if a.ctx.hbar == 0 else min(a.total_degree(), b.total_degree())
     return _series(a, b, top)
 
@@ -66,6 +62,7 @@ def moyal_bracket(a: PhasePoly, b: PhasePoly) -> PhasePoly:
 def _series(a: PhasePoly, b: PhasePoly, top: int) -> PhasePoly:
     """Sum over odd k <= top of (-1)^((k-1)/2) (hbar/2)^(k-1) Pi_k(A, B) / k!."""
     ctx = a.ctx
+    ctx.require_same(b.ctx)
     dof = ctx.dof
     max_a, max_b = _maxima(a), _maxima(b)
     layout = _layout([x + y for x, y in zip(max_a, max_b)])
@@ -76,31 +73,30 @@ def _series(a: PhasePoly, b: PhasePoly, top: int) -> PhasePoly:
     pairs = [(i, dof + i, False) for i in range(dof)] + [(dof + i, i, True) for i in range(dof)]
     slots = [(va, vb, neg, units[va], units[vb], min(max_a[va], max_b[vb]))
              for va, vb, neg in pairs]
-    room = list(accumulate(reversed([slot[-1] for slot in slots]), initial=0))[::-1]
-    acc: dict[int, int] = {}
     half = ctx.hbar / 2
     last = top - 1 + top % 2   # largest odd k <= top
-    for k in range(1, top + 1, 2):
-        scale = (-1) ** (k // 2) * half.numerator ** (k - 1) * half.denominator ** (last - k)
-        scaled = terms_a if scale == 1 else [(key, num * scale, exps) for key, num, exps in terms_a]
-        _walk(acc, slots, room, 0, k, scaled, terms_b)
+    # scales[k]: k's factor times half.denominator^(last - 1), 0 for even k
+    scales = [k % 2 and (-1) ** (k // 2) * half.numerator ** (k - 1)
+              * half.denominator ** (last - k) for k in range(max(top, 0) + 1)]
+    acc: dict[int, int] = {}
+    _walk(acc, slots, scales, 0, 0, terms_a, terms_b)
     return _unpack(ctx, acc, layout, den_a * den_b * half.denominator ** max(last - 1, 0))
 
 
-def _walk(acc: dict[int, int], slots: list, room: list[int], slot: int, left: int,
+def _walk(acc: dict[int, int], slots: list, scales: list[int], slot: int, used: int,
           la: Packed, lb: Packed) -> None:
-    """Spread ``left`` more derivatives over ``slots[slot:]`` and add the
-    products of the surviving terms of ``la`` and ``lb`` into ``acc``.
-
-    A slot is (A variable, B variable, sign, A's unit key, B's unit key,
-    cap); ``room[j]`` is the sum of the caps from slot j on.
+    """Spend up to ``len(scales) - 1 - used`` more derivatives on
+    ``slots[slot:]`` and, at each complete composition of an odd k, add
+    ``scales[k]`` times the products of the surviving terms of ``la`` and
+    ``lb`` into ``acc``.  A slot is (A variable, B variable, sign, A's unit
+    key, B's unit key, cap).
     """
-    if not left:
-        _product_into(acc, la, lb)
+    left = len(scales) - 1 - used
+    if not left or slot == len(slots):   # a complete composition of k = used
+        if scale := scales[used]:
+            _product_into(acc, la if scale == 1 else [(k, n * scale, e) for k, n, e in la], lb)
         return
-    if room[slot] < left:
-        return
-    _walk(acc, slots, room, slot + 1, left, la, lb)
+    _walk(acc, slots, scales, slot + 1, used, la, lb)
     va, vb, neg, ua, ub, cap = slots[slot]
     # m-th derivative from the (m-1)-th: A's factor C(a, m-1) becomes
     # C(a, m) (the division by m is exact), B's (b)_(m-1) becomes (b)_m.
@@ -111,4 +107,4 @@ def _walk(acc: dict[int, int], slots: list, room: list[int], slot: int, left: in
         lb = [(k - ub, n * (e[vb] - m + 1), e) for k, n, e in lb if e[vb] >= m]
         if not lb:
             return
-        _walk(acc, slots, room, slot + 1, left - m, la, lb)
+        _walk(acc, slots, scales, slot + 1, used + m, la, lb)

@@ -252,12 +252,10 @@ def cmd_close(args) -> int:
 def _invariant_entries(args, problem, closure, report: dict) -> None:
     report["closure"] = _closure_payload(closure)
 
-    want_casimir = args.casimir or not (args.casimir or args.center)
-    want_center = args.center or not (args.casimir or args.center)
+    both = not (args.casimir or args.center)
 
-    if want_casimir:
+    if args.casimir or both:
         entries = []
-        nontrivial = 0
         for sol in find_casimir(closure):
             gnames = sol.generator_names
             entries.append(
@@ -275,14 +273,10 @@ def _invariant_entries(args, problem, closure, report: dict) -> None:
                     "verified": verify_invariant(sol.realization, closure).passed,
                 }
             )
-            if not sol.trivial:
-                nontrivial += 1
-        report["casimir"] = {
-            "solutions": entries,
-            "nontrivial_count": nontrivial,
-        }
+        nontrivial = sum(not entry["trivial"] for entry in entries)
+        report["casimir"] = {"solutions": entries, "nontrivial_count": nontrivial}
 
-    if want_center:
+    if args.center or both:
         degree = args.degree if args.degree is not None else problem.center_degree
         center = find_center(closure, max_total_degree=degree)
         nonconstant = center.nonconstant()
@@ -446,6 +440,15 @@ def cmd_separate(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """An argparse ``type``: an integer no smaller than ``low``."""
+    def integer(text: str) -> int:  # argparse names it in "invalid integer value"
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phasealg",
@@ -465,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("problem")
     p_inv.add_argument("--casimir", action="store_true", help="quadratic ansatz only")
     p_inv.add_argument("--center", action="store_true", help="bounded-degree centre only")
-    p_inv.add_argument("--degree", type=int, help="centre ansatz total degree")
+    p_inv.add_argument("--degree", type=_int_at_least(0), help="centre ansatz total degree")
     p_inv.add_argument("-o", "--output")
     p_inv.add_argument("--set", action="append", metavar="NAME=VALUE")
     p_inv.set_defaults(func=cmd_invariants)
@@ -511,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sep = sub.add_parser("separate", help="split off the centre of mass")
     p_sep.add_argument("--masses", required=True, metavar="M1,M2[,...]")
-    p_sep.add_argument("--dim", type=int, default=3)
+    p_sep.add_argument("--dim", type=_int_at_least(1), default=3)
     p_sep.add_argument(
         "--expr",
         help="Hamiltonian over q1..qNd, p1..pNd (default: total kinetic energy)",

@@ -1,7 +1,8 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
+from pathlib import Path
 
 import pytest
 
@@ -10,9 +11,13 @@ from phasealg import (
     ContextMismatchError,
     PhaseContext,
     PhasePoly,
+    brackets,
     moyal_bracket,
     poisson_bracket,
 )
+from phasealg.poly import _layout, _maxima, _pack, _product_into, _units, _unpack
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def brute_force_moyal(a: PhasePoly, b: PhasePoly) -> PhasePoly:
@@ -62,6 +67,49 @@ def derivative_product_poisson(a: PhasePoly, b: PhasePoly) -> PhasePoly:
             if not db_q.is_zero():
                 result = result - da_p * db_q
     return result
+
+
+def reference_series(a: PhasePoly, b: PhasePoly, top: int) -> PhasePoly:
+    """Reference: the packed kernel with one walk over the slots for each
+    odd k <= top, each on A's terms scaled by k's factor and each branch
+    ending where the caps of the slots left cannot hold the rest of k."""
+    ctx = a.ctx
+    dof = ctx.dof
+    max_a, max_b = _maxima(a), _maxima(b)
+    layout = _layout([x + y for x, y in zip(max_a, max_b)])
+    units = _units(layout)
+    terms_a, den_a = _pack(a, layout)
+    terms_b, den_b = _pack(b, layout)
+    pairs = [(i, dof + i, False) for i in range(dof)] + [(dof + i, i, True) for i in range(dof)]
+    slots = [(va, vb, neg, units[va], units[vb], min(max_a[va], max_b[vb]))
+             for va, vb, neg in pairs]
+    room = list(accumulate(reversed([slot[-1] for slot in slots]), initial=0))[::-1]
+    acc: dict[int, int] = {}
+    half = ctx.hbar / 2
+    last = top - 1 + top % 2
+    for k in range(1, top + 1, 2):
+        scale = (-1) ** (k // 2) * half.numerator ** (k - 1) * half.denominator ** (last - k)
+        scaled = terms_a if scale == 1 else [(key, num * scale, exps) for key, num, exps in terms_a]
+        _reference_walk(acc, slots, room, 0, k, scaled, terms_b)
+    return _unpack(ctx, acc, layout, den_a * den_b * half.denominator ** max(last - 1, 0))
+
+
+def _reference_walk(acc, slots, room, slot, left, la, lb):
+    if not left:
+        _product_into(acc, la, lb)
+        return
+    if room[slot] < left:
+        return
+    _reference_walk(acc, slots, room, slot + 1, left, la, lb)
+    va, vb, neg, ua, ub, cap = slots[slot]
+    for m in range(1, min(left, cap) + 1):
+        la = [(k - ua, (-n if neg else n) * (e[va] - m + 1) // m, e) for k, n, e in la if e[va] >= m]
+        if not la:
+            return
+        lb = [(k - ub, n * (e[vb] - m + 1), e) for k, n, e in lb if e[vb] >= m]
+        if not lb:
+            return
+        _reference_walk(acc, slots, room, slot + 1, left - m, la, lb)
 
 
 @pytest.fixture
@@ -217,3 +265,38 @@ def test_moyal_agrees_with_brute_force_on_kernel_cases():
     hbars = (0, 1, Fraction(3, 2), Fraction(-2, 7))
     for a, b in kernel_cases(2718, dofs=(1, 2), hbars=hbars, randoms=6, max_degree=4):
         assert moyal_bracket(a, b) == brute_force_moyal(a, b)
+
+
+def test_single_walk_matches_per_k_reference():
+    hbars = (0, 1, Fraction(3, 2), Fraction(-2, 7))
+    for a, b in kernel_cases(1729, dofs=(1, 2, 3), hbars=hbars):
+        assert poisson_bracket(a, b) == reference_series(a, b, 1)
+        top = 1 if a.ctx.hbar == 0 else min(a.total_degree(), b.total_degree())
+        assert moyal_bracket(a, b) == reference_series(a, b, top)
+
+
+def test_moyal_walk_is_not_cubic_in_the_degree(monkeypatch):
+    """A D=1 series of 64 odd orders.  A walk per k that tries every m in
+    the last slot, where only m = left reaches a product, makes 549,056
+    ``_walk`` calls on it, O(top^3); one walk for every k makes 16,641."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import oracle
+
+    calls = 0
+    walk = brackets._walk
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return walk(*args)
+
+    monkeypatch.setattr(brackets, "_walk", counted)
+    hbar = Fraction(3, 2)
+    ctx = PhaseContext(1, hbar=hbar)
+    a = PhasePoly.monomial(ctx, (127, 128))
+    b = PhasePoly.monomial(ctx, (128, 127))
+    out = moyal_bracket(a, b)
+    assert calls <= 20_000
+    point = oracle.random_point(random.Random(127), 2)
+    want = oracle.bracket_at_point(dict(a.term_items()), dict(b.term_items()), 1, "moyal", hbar, point)
+    assert oracle.evaluate(out.term_items(), point) == want

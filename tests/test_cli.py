@@ -386,6 +386,13 @@ def test_argparse_errors_return_two(capsys):
     assert main(["close"]) == 2
     assert main(["spectrum", "composite", "--mode", "sideways", "--internal", "1"]) == 2
     capsys.readouterr()
+    # Out-of-range counts are refused while parsing, before any closure runs.
+    for argv, option in ((["invariants", "cm", "--degree", "-1"], "--degree"),
+                         (["separate", "--masses", "1,1", "--dim", "0"], "--dim")):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {option}: must be an integer >= " in err
 
 
 def test_memory_cap_invalid(monkeypatch, capsys):
