@@ -43,32 +43,59 @@ once the budget is spent or the last slot is filled.  There, for odd k, A's
 surviving numerators are scaled by (-1)^((k-1)/2) (hbar/2)^(k-1) over one
 denominator shared by every k and multiplied out into one integer dict keyed
 by packed exponents; unpacking it builds one Fraction per distinct numerator.
+
+One walk takes a list of left operands, packed in one layout over their
+own denominators, each term's keys tagged with its index in a field above
+the top exponent field.  The tag survives the walk: a derivative subtracts
+a unit only from a field that holds it, and B is untagged and the layout
+keeps every product's exponents inside their fields.  The brackets are the
+one-term case, tag 0; ``_blocks`` splits a batched result into per-term
+blocks, which is how an invariant search brackets every ansatz term with a
+seed in one walk.
 """
 
 from __future__ import annotations
 
-from .poly import Packed, PhasePoly, _layout, _maxima, _pack, _product_into, _units, _unpack
+from fractions import Fraction
+from struct import Struct
+
+from .poly import (Expvec, Packed, PhasePoly, _layout, _maxima, _pack, _product_into, _units, _unpack,
+                   _unpack_blocks)
 
 
 def poisson_bracket(a: PhasePoly, b: PhasePoly) -> PhasePoly:
-    return _series(a, b, 1)
+    acc, layout, (den,) = _series([a], b, False)
+    return _unpack(a.ctx, acc, layout, den)
 
 
 def moyal_bracket(a: PhasePoly, b: PhasePoly) -> PhasePoly:
-    top = 1 if a.ctx.hbar == 0 else min(a.total_degree(), b.total_degree())
-    return _series(a, b, top)
+    acc, layout, (den,) = _series([a], b, True)
+    return _unpack(a.ctx, acc, layout, den)
 
 
-def _series(a: PhasePoly, b: PhasePoly, top: int) -> PhasePoly:
-    """Sum over odd k <= top of (-1)^((k-1)/2) (hbar/2)^(k-1) Pi_k(A, B) / k!."""
-    ctx = a.ctx
-    ctx.require_same(b.ctx)
+def _blocks(terms: list[PhasePoly], b: PhasePoly,
+            moyal: bool) -> list[list[tuple[Expvec, Fraction]]]:
+    """``bracket(T, b).term_items()`` for each ``T`` in ``terms``, in order,
+    from one walk."""
+    return _unpack_blocks(*_series(terms, b, moyal))
+
+
+def _series(terms: list[PhasePoly], b: PhasePoly,
+            moyal: bool) -> tuple[dict[int, int], Struct, list[int]]:
+    """Sum over odd k <= top of (-1)^((k-1)/2) (hbar/2)^(k-1) Pi_k(T, B) / k!
+    for every ``T`` in ``terms`` (the Poisson bracket unless ``moyal``): the
+    numerators keyed by packed exponents tagged with the term's index
+    (``poly._pack``), the layout, and each term's denominator."""
+    ctx = b.ctx
+    for t in terms:
+        t.ctx.require_same(ctx)
     dof = ctx.dof
-    max_a, max_b = _maxima(a), _maxima(b)
+    top = min(max(t.total_degree() for t in terms), b.total_degree()) if moyal and ctx.hbar else 1
+    max_a, max_b = _maxima(*terms), _maxima(b)
     layout = _layout([x + y for x, y in zip(max_a, max_b)])
     units = _units(layout)
-    terms_a, den_a = _pack(a, layout)
-    terms_b, den_b = _pack(b, layout)
+    terms_a, dens = _pack(terms, layout)
+    terms_b, (den_b,) = _pack([b], layout)
     # (A variable, B variable, sign): s_i = d/dq_i (x) d/dp_i, t_i = -d/dp_i (x) d/dq_i
     pairs = [(i, dof + i, False) for i in range(dof)] + [(dof + i, i, True) for i in range(dof)]
     slots = [(va, vb, neg, units[va], units[vb], min(max_a[va], max_b[vb]))
@@ -80,7 +107,8 @@ def _series(a: PhasePoly, b: PhasePoly, top: int) -> PhasePoly:
               * half.denominator ** (last - k) for k in range(max(top, 0) + 1)]
     acc: dict[int, int] = {}
     _walk(acc, slots, scales, 0, 0, terms_a, terms_b)
-    return _unpack(ctx, acc, layout, den_a * den_b * half.denominator ** max(last - 1, 0))
+    common = den_b * half.denominator ** max(last - 1, 0)
+    return acc, layout, [den * common for den in dens]
 
 
 def _walk(acc: dict[int, int], slots: list, scales: list[int], slot: int, used: int,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -183,7 +184,7 @@ def _jsonable(value):
 
 
 def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2) + "\n"
+    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -359,18 +360,17 @@ def cmd_spectrum_internal(args) -> int:
 
 
 def cmd_spectrum_composite(args) -> int:
-    internal = [float(v) for v in args.internal.split(",") if v != ""]
     if args.mode == "right":
         offset = args.f if args.f is not None else args.mass
         if offset is None:
             raise ValueError("composite right mode needs --f or --mass")
-        rep = composite_spectrum(internal, float(offset), "composite-right")
+        rep = composite_spectrum(args.internal, float(offset), "composite-right")
     else:
         if args.mass is None or args.side is None:
             raise ValueError("composite spurious mode needs --mass and --side")
         cm = box_spectrum(args.mass, args.side, args.nmax)
         rep = composite_spectrum(
-            internal, cm, "composite-spurious", count=args.count
+            args.internal, cm, "composite-spurious", count=args.count
         )
     _emit(_spectrum_report(rep, "spectrum composite"), args.output)
     return 0
@@ -449,6 +449,21 @@ def _int_at_least(low: int):
     return integer
 
 
+def _finite(text: str) -> float:
+    """An argparse ``type``: a finite float."""
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+
+
+def _finite_list(text: str) -> list[float]:
+    """An argparse ``type``: comma-separated finite floats, empty items skipped."""
+    return [_finite(v) for v in text.split(",") if v != ""]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phasealg",
@@ -503,8 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_comp = spec_sub.add_parser("composite", help="internal plus CM spectra")
     p_comp.add_argument("--mode", choices=("right", "spurious"), required=True)
-    p_comp.add_argument("--internal", required=True, metavar="E1,E2,...")
-    p_comp.add_argument("--f", type=float, help="offset for right mode")
+    p_comp.add_argument("--internal", type=_finite_list, required=True, metavar="E1,E2,...")
+    p_comp.add_argument("--f", type=_finite, help="offset for right mode")
     p_comp.add_argument("--mass", type=float)
     p_comp.add_argument("--side", type=float)
     p_comp.add_argument("--nmax", type=int, default=3)

@@ -92,12 +92,6 @@ class LieClosure:
                 return elem
         raise KeyError(name)
 
-    def index_of(self, name: str) -> int:
-        for i, elem in enumerate(self.basis):
-            if elem.name == name:
-                return i
-        raise KeyError(name)
-
     def bracket(self, a: PhasePoly, b: PhasePoly) -> PhasePoly:
         return _bracket_fn(self.bracket_kind)(a, b)
 

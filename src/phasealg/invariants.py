@@ -17,15 +17,12 @@ over the rationals and returns a canonical basis of its solution space;
 ``find_center`` checks its ansatz size against the cap before enumerating
 any monomial.
 
-One row builder serves both searches.  Every ansatz term is a sum of
-monomials, and a monomial's Poisson bracket with a seed has a closed form in
-the seed's partials (``_monomial_brackets``), so each seed's partials are
-taken once per search and no bracket is taken per term.  The one fork is
-the Moyal guard: Moyal equals Poisson when hbar is 0 or the seed has degree
-<= 2, and any other Moyal seed takes ``closure.bracket``.  Rows come in one
-order either way (seed, ansatz term, graded-lex-descending monomial);
-``nullspace``'s output depends on it while its ``sparse_rref`` defect
-stands.
+Both searches take their rows from the bracket kernel itself: one walk per
+seed brackets every ansatz term with it (``brackets._blocks``), under
+either bracket and at any hbar, so no bracket is taken per term.  The one
+contract left is row order (seed, ansatz term, graded-lex-descending
+monomial), for which each term's block is sorted: ``nullspace``'s output
+depends on the order while its ``sparse_rref`` defect stands.
 
 ``verify_invariant`` stays an independent check against the full basis.
 An empty nontrivial solution set is a meaningful result: for an
@@ -38,10 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, lcm
-from operator import mul
+from math import comb
 from typing import Sequence
 
+from .brackets import _blocks
 from .closure import LieClosure
 from .errors import AnsatzTooLargeError
 from .linsolve import nullspace, sub_scaled
@@ -83,86 +80,23 @@ class InvariantReport:
     passed: bool
 
 
-def _monomial_brackets(terms: Sequence[PhasePoly], s: PhasePoly):
-    """Yield the Poisson bracket ``{T, s}`` for each ``T`` in ``terms``, as its
-    terms in graded-lex descending order (``PhasePoly.term_items``), from
-
-        {x^a, s} = sum_i a_qi x^(a - e_qi) ds/dp_i - a_pi x^(a - e_pi) ds/dq_i.
-
-    The 2D partials of ``s`` are taken once, as integer numerators over one
-    denominator; each monomial's bracket is a shift of their exponents,
-    weighted by its coefficient over its term's own denominator.  Exponents
-    are packed into one int per monomial, total degree in the top field and
-    q1 most significant below it, so integer order is graded-lex order.
-    """
-    n, dof = s.ctx.nvars, s.ctx.dof
-    width = (max((t.total_degree() for t in terms), default=0) + s.total_degree()).bit_length()
-    shifts = [width * (n - 1 - i) for i in range(n)]
-    units = [1 << shift for shift in shifts]
-    unit_degree = 1 << (width * n)
-    mask = (1 << width) - 1
-
-    def pack(exps: Expvec) -> int:
-        return sum(map(mul, exps, units)) + sum(exps) * unit_degree
-
-    den = lcm(*[c.denominator for c in s._terms.values()])
-    # factors[v]: the partial of s that the v-derivative of x^a meets,
-    # +ds/dp_i for v = q_i and -ds/dq_i for v = p_i
-    factors: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for exps, c in s._terms.items():
-        key, num = pack(exps), c.numerator * (den // c.denominator)
-        for w, e in enumerate(exps):
-            if e:
-                v, sign = (w - dof, 1) if w >= dof else (w + dof, -1)
-                factors[v].append((key - units[w] - unit_degree, sign * e * num))
-    names: dict[int, Expvec] = {}
-    for term in terms:
-        term_den = lcm(*[c.denominator for c in term._terms.values()])
-        acc: dict[int, int] = {}
-        get = acc.get
-        for a, c in term._terms.items():
-            base = pack(a) - unit_degree
-            scale = c.numerator * (term_den // c.denominator)
-            for v, av in enumerate(a):
-                if av:
-                    shift, weight = base - units[v], av * scale
-                    for key, num in factors[v]:
-                        key += shift
-                        acc[key] = get(key, 0) + weight * num
-        term_den *= den
-        block = []
-        for key in sorted(acc, reverse=True):
-            if num := acc[key]:
-                mono = names.get(key)
-                if mono is None:
-                    mono = names[key] = tuple((key >> shift) & mask for shift in shifts)
-                block.append((mono, Fraction(num, term_den)))
-        yield block
-
-
 def _rows(terms: Sequence[PhasePoly], closure: LieClosure) -> dict:
     """The rows of ``bracket(sum_u x_u T_u, s) == 0`` for every seed ``s``.
 
     Keyed ``(basis index of s, monomial)``, in order of first appearance:
     seed, then ansatz term, then graded-lex-descending monomial of
     ``bracket(T_u, s)``; each row maps ansatz index ``u`` to its coefficient.
-    Every block comes from the seed's partials (``_monomial_brackets``),
-    whatever the ansatz.  The one fork is the Moyal guard: a Moyal seed of
-    degree > 2 at hbar != 0, where Moyal differs from Poisson, takes one
-    ``closure.bracket`` per term instead.  Both give the same rows.
+    Each seed's blocks come from one walk of the bracket kernel over every
+    term (``brackets._blocks``), under either bracket and at any hbar; the
+    blocks are sorted only because ``nullspace`` depends on this order.
     """
     seeds = set(closure.seed_names)
-    poisson = closure.bracket_kind == "poisson" or closure.ctx.hbar == 0
+    moyal = closure.bracket_kind == "moyal"
     rows: dict[tuple[int, Expvec], dict[int, Fraction]] = {}
     for k, elem in enumerate(closure.basis):
         if elem.is_identity or elem.name not in seeds:
             continue
-        s = elem.poly
-        if poisson or s.total_degree() <= 2:
-            blocks = _monomial_brackets(terms, s)
-        else:
-            blocks = (closure.bracket(term, s).term_items() for term in terms)
-        for u, block in enumerate(blocks):
+        for u, block in enumerate(_blocks(terms, elem.poly, moyal)):
             # a bracket's monomials are distinct: one entry per (row, term)
             for mono, coeff in block:
                 rows.setdefault((k, mono), {})[u] = coeff
@@ -172,11 +106,11 @@ def _rows(terms: Sequence[PhasePoly], closure: LieClosure) -> dict:
 def _solve(terms: Sequence[PhasePoly], closure: LieClosure):
     """Solutions of ``bracket(sum_u x_u T_u, s) == 0`` for every seed ``s``.
 
-    One row per (seed, output monomial), built by ``_rows`` in an order that
-    ``nullspace``'s output depends on while its ``sparse_rref`` defect
-    stands; one column per ansatz term.  Returns, per nullspace vector, the
-    vector scaled so its first nonzero entry is 1, and its polynomial
-    ``sum_u x_u T_u``.
+    One row per (seed, output monomial), built by ``_rows`` from the bracket
+    kernel in the one order ``nullspace``'s output depends on while its
+    ``sparse_rref`` defect stands; one column per ansatz term.  Returns,
+    per nullspace vector, the vector scaled so its first nonzero entry is
+    1, and its polynomial ``sum_u x_u T_u``.
     """
     solutions = []
     for vec in nullspace(list(_rows(terms, closure).values()), len(terms)):

@@ -12,11 +12,12 @@ on the exponent vector with q1 most significant.
 Products and brackets run on a packed form, built per call: each exponent
 vector becomes one int with a byte-aligned field per variable, all fields
 of one width (1, 2, 4 or 8 bytes), and the coefficients become int
-numerators over one shared denominator.  Packing and unpacking a term is
-one ``struct`` call each way.  ``Fraction`` appears again only when the
-result is unpacked, once per distinct numerator, shared by every term that
-has it.  An exponent a call could reach that needs more than 64 bits
-raises ``OverflowError``.
+numerators over their operand's denominator; several operands share one
+list by a tag above the fields.  Packing and unpacking a term is one
+``struct`` call each way.  ``Fraction`` appears again only when the result
+is unpacked, once per distinct numerator of a polynomial and once per term
+of a tagged block.  An exponent a call could reach that needs more than 64
+bits raises ``OverflowError``.
 """
 
 from __future__ import annotations
@@ -38,11 +39,15 @@ def _grlex_key(exps: Expvec) -> tuple[int, Expvec]:
     return (sum(exps), exps)
 
 
-def _maxima(p: "PhasePoly") -> list[int]:
-    """Largest exponent of each variable over the terms of ``p``."""
-    if not p._terms:
-        return [0] * p.ctx.nvars
-    return list(map(max, zip(*p._terms)))
+def _grlex_item(item: tuple[Expvec, Fraction]) -> tuple[int, Expvec]:
+    exps = item[0]
+    return (sum(exps), exps)
+
+
+def _maxima(*polys: "PhasePoly") -> list[int]:
+    """Largest exponent of each variable over the terms of ``polys``."""
+    exps = polys[0]._terms if len(polys) == 1 else [e for p in polys for e in p._terms]
+    return list(map(max, zip(*exps))) or [0] * polys[0].ctx.nvars
 
 
 def _layout(tops: list[int]) -> Struct:
@@ -69,15 +74,20 @@ def _units(layout: Struct) -> list[int]:
     return [1 << shift for shift in range(0, 8 * layout.size, bits)]
 
 
-def _pack(p: "PhasePoly", layout: Struct) -> tuple[Packed, int]:
-    """The terms of ``p`` in packed form, in ``_terms`` order, and their denominator."""
-    den = lcm(*[c.denominator for c in p._terms.values()])
-    pack = layout.pack
-    packed = [
-        (int.from_bytes(pack(*exps), "little"), c.numerator * (den // c.denominator), exps)
-        for exps, c in p._terms.items()
-    ]
-    return packed, den
+def _pack(polys: list["PhasePoly"], layout: Struct) -> tuple[Packed, list[int]]:
+    """The terms of ``polys`` in packed form, in order, and each one's
+    denominator; the keys of ``polys[u]`` carry the tag ``u`` in a field
+    above the top exponent field (tag 0: plain packed exponents)."""
+    pack, tag, step = layout.pack, 0, 1 << 8 * layout.size
+    packed: Packed = []
+    dens = []
+    for p in polys:
+        den = lcm(*[c.denominator for c in p._terms.values()])
+        packed += [(int.from_bytes(pack(*exps), "little") + tag,
+                    c.numerator * (den // c.denominator), exps) for exps, c in p._terms.items()]
+        dens.append(den)
+        tag += step
+    return packed, dens
 
 
 def _unpack(ctx: PhaseContext, acc: Mapping[int, int], layout: Struct, den: int) -> "PhasePoly":
@@ -91,6 +101,22 @@ def _unpack(ctx: PhaseContext, acc: Mapping[int, int], layout: Struct, den: int)
     return PhasePoly._build(ctx, {
         unpack(key.to_bytes(size, "little")): shared[num] for key, num in acc.items() if num
     })
+
+
+def _unpack_blocks(acc: Mapping[int, int], layout: Struct,
+                   dens: list[int]) -> list[list[tuple[Expvec, Fraction]]]:
+    """Per tag ``u``, the terms ``acc[key] / dens[u] * x^key`` whose keys
+    carry tag ``u`` (``_pack``), in ``PhasePoly.term_items`` order."""
+    size, unpack, shift = layout.size, layout.unpack, 8 * layout.size
+    blocks: list[list[tuple[Expvec, Fraction]]] = [[] for _ in dens]
+    for key, num in acc.items():
+        if num:
+            u = key >> shift
+            exps = unpack((key - (u << shift)).to_bytes(size, "little"))
+            blocks[u].append((exps, Fraction(num, dens[u])))
+    for block in blocks:
+        block.sort(key=_grlex_item, reverse=True)
+    return blocks
 
 
 def _product_into(acc: dict[int, int], left: Packed, right: Packed) -> None:
@@ -163,7 +189,7 @@ class PhasePoly:
 
     def term_items(self) -> list[tuple[Expvec, Fraction]]:
         """Terms in graded-lex order, leading term first."""
-        return sorted(self._terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
+        return sorted(self._terms.items(), key=_grlex_item, reverse=True)
 
     def monomials(self) -> tuple[Expvec, ...]:
         return tuple(sorted(self._terms, key=_grlex_key, reverse=True))
@@ -250,8 +276,8 @@ class PhasePoly:
             return NotImplemented
         self.ctx.require_same(other.ctx)
         layout = _layout([x + y for x, y in zip(_maxima(self), _maxima(other))])
-        left, den_left = _pack(self, layout)
-        right, den_right = _pack(other, layout)
+        left, (den_left,) = _pack([self], layout)
+        right, (den_right,) = _pack([other], layout)
         acc: dict[int, int] = {}
         _product_into(acc, left, right)
         return _unpack(self.ctx, acc, layout, den_left * den_right)

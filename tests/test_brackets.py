@@ -78,8 +78,8 @@ def reference_series(a: PhasePoly, b: PhasePoly, top: int) -> PhasePoly:
     max_a, max_b = _maxima(a), _maxima(b)
     layout = _layout([x + y for x, y in zip(max_a, max_b)])
     units = _units(layout)
-    terms_a, den_a = _pack(a, layout)
-    terms_b, den_b = _pack(b, layout)
+    terms_a, (den_a,) = _pack([a], layout)
+    terms_b, (den_b,) = _pack([b], layout)
     pairs = [(i, dof + i, False) for i in range(dof)] + [(dof + i, i, True) for i in range(dof)]
     slots = [(va, vb, neg, units[va], units[vb], min(max_a[va], max_b[vb]))
              for va, vb, neg in pairs]
@@ -273,6 +273,27 @@ def test_single_walk_matches_per_k_reference():
         assert poisson_bracket(a, b) == reference_series(a, b, 1)
         top = 1 if a.ctx.hbar == 0 else min(a.total_degree(), b.total_degree())
         assert moyal_bracket(a, b) == reference_series(a, b, top)
+
+
+def test_batched_kernel_matches_single_brackets():
+    """``brackets._blocks`` walks every left operand at once, each term's
+    packed keys tagged with its index in a field above the top exponent
+    field; each block must be that term's own bracket in ``term_items``
+    order.  The terms are the left operands of ``kernel_cases`` (mixed
+    denominators and degrees, the zero polynomial) and the constant 1, the
+    seeds its right operands; at D=1 the 127/128 edge operands drive the
+    top field's high bit, right below the tag, and across the byte boundary."""
+    hbars = (0, 1, Fraction(3, 2), Fraction(-2, 7))
+    for dof, hbar in product((1, 2, 3), hbars):
+        cases = list(kernel_cases(3141, dofs=(dof,), hbars=(hbar,), randoms=6))
+        lefts = {id(a): a for a, _ in cases}
+        rights = {id(b): b for _, b in cases}
+        terms = [PhasePoly.constant(cases[0][0].ctx, 1), *lefts.values()]
+        for s in rights.values():
+            assert brackets._blocks(terms, s, False) == [
+                poisson_bracket(t, s).term_items() for t in terms]
+            assert brackets._blocks(terms, s, True) == [
+                moyal_bracket(t, s).term_items() for t in terms]
 
 
 def test_moyal_walk_is_not_cubic_in_the_degree(monkeypatch):

@@ -283,6 +283,33 @@ def test_spectrum_composite_right_needs_offset(capsys):
     assert "--f" in err or "--mass" in err
 
 
+def test_spectrum_composite_refuses_non_finite_values(tmp_path, capsys):
+    """NaN and infinite energies are refused while the arguments are
+    parsed, and an energy that overflows stops the report from being
+    written: either way exit 2 and no report, which would not be JSON."""
+    right = ["spectrum", "composite", "--mode", "right"]
+    for extra, option in ((["--internal", "nan,1", "--f", "2"], "--internal"),
+                          (["--internal", "1,-inf", "--f", "2"], "--internal"),
+                          (["--internal", "1,2", "--f", "inf"], "--f"),
+                          (["--internal", "1,2", "--f", "nan"], "--f")):
+        assert main(right + extra) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {option}: must be a finite number" in err
+    spurious = ["spectrum", "composite", "--mode", "spurious", "--mass", "1", "--side", "1"]
+    assert main(spurious + ["--internal", "0,nan"]) == 2
+    assert capsys.readouterr().out == ""
+    overflow = right + ["--internal", "1e308", "--f", "1e308"]
+    assert main(overflow) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error:" in err
+    report = tmp_path / "report.json"
+    assert main(overflow + ["-o", str(report)]) == 2
+    capsys.readouterr()
+    assert not report.exists()
+
+
 def test_spectrum_composite_spurious(capsys):
     code, report = run_json(
         capsys,

@@ -286,8 +286,6 @@ def test_lookup_errors():
     cl = sphere_closure()
     with pytest.raises(KeyError):
         cl.element_named("nope")
-    with pytest.raises(KeyError):
-        cl.index_of("nope")
 
 
 def test_convention_notes_sign_warning():

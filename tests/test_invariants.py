@@ -20,7 +20,8 @@ from phasealg import (
     parse_expression,
     verify_invariant,
 )
-from phasealg import invariants
+from phasealg import brackets, invariants
+from phasealg import closure as closure_module
 from phasealg.linsolve import nullspace
 from phasealg.poly import _grlex_key
 
@@ -291,11 +292,11 @@ def _casimir_terms(closure, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(ROW_ORDER_CASES))
-def test_closed_form_rows_match_bracket_rows(name, monkeypatch):
+def test_rows_match_bracket_rows(name, monkeypatch):
     """``_rows`` for the centre ansatz at each degree and for the Casimir
     ansatz equals the per-bracket reference key for key, value for value
     and in insertion order (``nullspace`` depends on the order), and takes
-    the closed form for exactly the seeds where the bracket is Poisson's."""
+    no single bracket: every row comes from the batched kernel."""
     build, degrees = ROW_ORDER_CASES[name]
     cl = build()
     ansatzes = [
@@ -303,23 +304,22 @@ def test_closed_form_rows_match_bracket_rows(name, monkeypatch):
         for d in degrees
     ]
     ansatzes.append(_casimir_terms(cl, monkeypatch))
-    closed_form = []
-    real = invariants._monomial_brackets
+    single = []
 
-    def spy(terms, s):
-        closed_form.append(s)
-        return real(terms, s)
+    def spy(real):
+        def call(a, b):
+            single.append(real.__name__)
+            return real(a, b)
+        return call
 
-    monkeypatch.setattr(invariants, "_monomial_brackets", spy)
-    seeds = [e.poly for e in cl.basis if e.name in cl.seed_names and not e.is_identity]
-    poisson = cl.bracket_kind == "poisson" or cl.ctx.hbar == 0
     for terms in ansatzes:
-        closed_form.clear()
-        rows = invariants._rows(terms, cl)
         expected = _bracket_rows(terms, cl)
+        with monkeypatch.context() as m:
+            for module in (brackets, closure_module):
+                for fn in ("poisson_bracket", "moyal_bracket"):
+                    m.setattr(module, fn, spy(getattr(module, fn)))
+            rows = invariants._rows(terms, cl)
+        assert single == []
         assert list(rows) == list(expected)
         assert [list(r.items()) for r in rows.values()] == [
             list(r.items()) for r in expected.values()]
-        assert closed_form == [s for s in seeds if poisson or s.total_degree() <= 2]
-    if name == "moyal-cubic-seed":
-        assert all(s.total_degree() == 1 for s in closed_form)
