@@ -46,7 +46,6 @@ from .separation import (
     verify_canonical,
 )
 from .spectra import (
-    BoxLevel,
     box_potential,
     box_spectrum,
     composite_spectrum,
@@ -300,23 +299,11 @@ def cmd_invariants(args) -> int:
     return _close_and_report(args, "invariants", _invariant_entries)
 
 
-def _spectrum_levels(rep) -> list[dict]:
-    out = []
-    for lv in rep.levels:
-        if isinstance(lv, BoxLevel):
-            out.append({"n": list(lv.n), "energy": lv.energy, "group": lv.group})
-        else:
-            out.append(
-                {"label": _jsonable(lv.label), "energy": lv.energy, "group": lv.group}
-            )
-    return out
-
-
 def _spectrum_report(rep, command: str) -> dict:
     report = {
         "command": command,
         "mode": rep.mode,
-        "levels": _spectrum_levels(rep),
+        "levels": [vars(lv) for lv in rep.levels],
         "metadata": _jsonable(rep.metadata),
         "exit_code": 0,
     }
@@ -332,18 +319,15 @@ def cmd_spectrum_box(args) -> int:
 
 
 def _potential_from_args(args):
-    domain = tuple(float(v) for v in args.domain.split(","))
-    if len(domain) != 2:
-        raise ValueError("--domain expects A,B")
     if args.potential == "harmonic":
         return harmonic_potential(
-            args.omega, mass=args.mass, domain=domain, grid=args.grid
+            args.omega, mass=args.mass, domain=args.domain, grid=args.grid
         )
     if args.potential == "box":
         return box_potential(args.side, mass=args.mass, grid=args.grid)
     if args.potential == "coulomb":
         return coulomb_potential(
-            args.kappa, args.rmin, mass=args.mass, domain=domain, grid=args.grid
+            args.kappa, args.rmin, mass=args.mass, domain=args.domain, grid=args.grid
         )
     if args.potential == "tabulated":
         if not args.table:
@@ -464,6 +448,13 @@ def _finite_list(text: str) -> list[float]:
     return [_finite(v) for v in text.split(",") if v != ""]
 
 
+def _finite_pair(text: str) -> tuple[float, float]:
+    """An argparse ``type``: two comma-separated finite floats ``A,B``."""
+    if len(items := text.split(",")) != 2:
+        raise argparse.ArgumentTypeError(f"expects A,B, got {text!r}")
+    return _finite(items[0]), _finite(items[1])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phasealg",
@@ -492,8 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     spec_sub = p_spec.add_subparsers(dest="spectrum_command", required=True)
 
     p_box = spec_sub.add_parser("box", help="exact levels of a boxed free particle")
-    p_box.add_argument("--mass", type=float, default=1.0)
-    p_box.add_argument("--side", type=float, default=1.0)
+    p_box.add_argument("--mass", type=_finite, default=1.0)
+    p_box.add_argument("--side", type=_finite, default=1.0)
     p_box.add_argument("--nmax", type=int, default=3)
     p_box.add_argument("-o", "--output")
     p_box.set_defaults(func=cmd_spectrum_box)
@@ -504,13 +495,13 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("harmonic", "box", "coulomb", "tabulated"),
         default="harmonic",
     )
-    p_int.add_argument("--omega", type=float, default=1.0)
-    p_int.add_argument("--side", type=float, default=1.0)
-    p_int.add_argument("--kappa", type=float, default=1.0)
-    p_int.add_argument("--rmin", type=float, default=0.05)
+    p_int.add_argument("--omega", type=_finite, default=1.0)
+    p_int.add_argument("--side", type=_finite, default=1.0)
+    p_int.add_argument("--kappa", type=_finite, default=1.0)
+    p_int.add_argument("--rmin", type=_finite, default=0.05)
     p_int.add_argument("--table", help="two-column file for tabulated potentials")
-    p_int.add_argument("--mass", type=float, default=1.0)
-    p_int.add_argument("--domain", default="-10,10", metavar="A,B")
+    p_int.add_argument("--mass", type=_finite, default=1.0)
+    p_int.add_argument("--domain", type=_finite_pair, default="-10,10", metavar="A,B")
     p_int.add_argument("--grid", type=int, default=2000)
     p_int.add_argument("--count", type=int, default=5)
     p_int.add_argument("-o", "--output")
@@ -520,8 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_comp.add_argument("--mode", choices=("right", "spurious"), required=True)
     p_comp.add_argument("--internal", type=_finite_list, required=True, metavar="E1,E2,...")
     p_comp.add_argument("--f", type=_finite, help="offset for right mode")
-    p_comp.add_argument("--mass", type=float)
-    p_comp.add_argument("--side", type=float)
+    p_comp.add_argument("--mass", type=_finite)
+    p_comp.add_argument("--side", type=_finite)
     p_comp.add_argument("--nmax", type=int, default=3)
     p_comp.add_argument("--count", type=int, help="truncate spurious level list")
     p_comp.add_argument("-o", "--output")

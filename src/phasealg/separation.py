@@ -49,6 +49,13 @@ class CanonicalMap:
     Row layout: relative rows first, total-CM row last.  ``a`` maps old
     positions to new, ``b`` maps old momenta to new; ``a @ b.T = 1`` is a
     construction invariant.
+
+    Every variable, old or new, has one flat index ``offset + row*d + c``
+    for component ``c`` of row ``row``: ``offset`` is 0 for positions and
+    ``dof = n_bodies*d`` for momenta, so position ``i`` is conjugate to
+    momentum ``i + dof``.  ``label(index)`` names a new variable ("r",
+    "P_3", ...), and ``new_variable_images`` and ``old_variable_images``
+    give the map and its inverse as polynomials keyed by that index.
     """
 
     d: int
@@ -70,10 +77,12 @@ class CanonicalMap:
     def old_context(self, params=None, hbar=1) -> PhaseContext:
         return PhaseContext(self.n_bodies * self.d, params=params, hbar=hbar)
 
-    def variable_label(self, row: int, component: int, momentum: bool) -> str:
-        labels = self.momentum_labels if momentum else self.position_labels
-        base = labels[row]
-        return base if self.d == 1 else f"{base}_{component + 1}"
+    def label(self, index: int) -> str:
+        """Name of new variable ``index = offset + row*d + c``, positions first."""
+        dof = self.n_bodies * self.d
+        labels = self.momentum_labels if index >= dof else self.position_labels
+        row, c = divmod(index % dof, self.d)
+        return labels[row] if self.d == 1 else f"{labels[row]}_{c + 1}"
 
     def _images(self, matrix: Matrix, ctx: PhaseContext, offset: int) -> dict[int, PhasePoly]:
         """Linear images ``offset + row*d + c -> sum_i matrix[row][i] * x_(offset + i*d + c)``.
@@ -91,21 +100,12 @@ class CanonicalMap:
                 images[offset + row * d + c] = p
         return images
 
-    def _rows(self, images: dict[int, PhasePoly], offset: int):
-        d = self.d
-        return tuple(
-            tuple(images[offset + row * d + c] for c in range(d))
-            for row in range(self.n_bodies)
-        )
+    def new_variable_images(self, old_ctx: PhaseContext) -> dict[int, PhasePoly]:
+        """New variables expressed in the old ones, keyed by flat index.
 
-    def new_position_polys(self, ctx: PhaseContext):
-        return self._rows(self._images(self.a, ctx, 0), 0)
-
-    def new_momentum_polys(self, ctx: PhaseContext):
-        return self._rows(self._images(self.b, ctx, ctx.dof), ctx.dof)
-
-    def _forward_images(self, old_ctx: PhaseContext) -> dict[int, PhasePoly]:
-        """New variables expressed in the old ones."""
+        New positions are ``A @ old positions`` and new momenta are
+        ``B @ old momenta``.
+        """
         return {
             **self._images(self.a, old_ctx, 0),
             **self._images(self.b, old_ctx, old_ctx.dof),
@@ -200,24 +200,20 @@ def verify_canonical(cmap: CanonicalMap) -> CanonicalReport:
     """Check every pairwise bracket of the new variables exactly.
 
     {Q_a, P_b} = delta_ab, {Q, Q} = {P, P} = 0
+
+    The images are bracketed pairwise, ``i < j`` in flat-index order; the
+    pair is conjugate, with bracket 1, exactly when ``j == i + dof``.  Each
+    violation is ``(label(i), label(j), bracket - expected)``, in that order.
     """
     ctx = cmap.old_context()
-    qs = cmap.new_position_polys(ctx)
-    ps = cmap.new_momentum_polys(ctx)
-    flat = []
-    for momentum, table in ((False, qs), (True, ps)):
-        for row in range(cmap.n_bodies):
-            for c in range(cmap.d):
-                label = cmap.variable_label(row, c, momentum)
-                flat.append((label, table[row][c], momentum, (row, c)))
+    images = cmap.new_variable_images(ctx)
     violations = []
-    for i, (name_i, poly_i, mom_i, slot_i) in enumerate(flat):
-        for name_j, poly_j, mom_j, slot_j in flat[i + 1 :]:
-            br = poisson_bracket(poly_i, poly_j)
-            conjugate = mom_i != mom_j and slot_i == slot_j
-            expected = PhasePoly.constant(ctx, 1 if conjugate else 0)
+    for i in range(ctx.nvars):
+        for j in range(i + 1, ctx.nvars):
+            br = poisson_bracket(images[i], images[j])
+            expected = PhasePoly.constant(ctx, 1 if j == i + ctx.dof else 0)
             if br != expected:
-                violations.append((name_i, name_j, br - expected))
+                violations.append((cmap.label(i), cmap.label(j), br - expected))
     return CanonicalReport(passed=not violations, violations=tuple(violations))
 
 
@@ -230,16 +226,13 @@ class SeparationReport:
     reduced_mass: Fraction | None
 
 
-def _labeled_term(exps, coeff: Fraction, cmap: CanonicalMap, dof: int) -> str:
+def _labeled_term(exps, coeff: Fraction, cmap: CanonicalMap) -> str:
     """One monomial rendered with the map's variable labels."""
     parts = []
     for idx, e in enumerate(exps):
-        if not e:
-            continue
-        momentum = idx >= dof
-        var = idx - dof if momentum else idx
-        label = cmap.variable_label(var // cmap.d, var % cmap.d, momentum)
-        parts.append(label if e == 1 else f"{label}^{e}")
+        if e:
+            label = cmap.label(idx)
+            parts.append(label if e == 1 else f"{label}^{e}")
     body = "*".join(parts) if parts else "1"
     if coeff == 1 and parts:
         return body
@@ -281,7 +274,7 @@ def separate_hamiltonian(h: PhasePoly, cmap: CanonicalMap):
         elif True not in touched:
             int_terms[exps] = coeff
         else:
-            mixed.append(_labeled_term(exps, coeff, cmap, dof))
+            mixed.append(_labeled_term(exps, coeff, cmap))
     if mixed:
         raise SeparationFailure(mixed)
     h_cm = PhasePoly._build(new_ctx, cm_terms)
@@ -300,7 +293,7 @@ def separate_hamiltonian(h: PhasePoly, cmap: CanonicalMap):
             new_ctx, {0: reduced}, cmap.d
         )
 
-    reassembled = (h_cm + h_int).substitute(cmap._forward_images(old_ctx), old_ctx)
+    reassembled = (h_cm + h_int).substitute(cmap.new_variable_images(old_ctx), old_ctx)
 
     report = SeparationReport(
         cm_is_free_kinetic=(h_cm == free),

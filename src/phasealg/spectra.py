@@ -13,6 +13,10 @@ Three pieces:
   (the spurious multiplet structure) or a plain offset shift (one composite
   level per internal level, nothing spurious).
 
+All three build their level tuples with one private builder, ``_levels``:
+it sorts ``(energy, label)`` pairs by energy and then label, keeps the
+lowest ``count`` and assigns degeneracy groups.
+
 Everything here is float64; exact arithmetic buys nothing against the
 O(h^2) discretization error.
 """
@@ -20,6 +24,7 @@ O(h^2) discretization error.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Sequence
@@ -192,27 +197,39 @@ def _assign_groups(energies: Sequence[float]) -> list[int]:
     return groups
 
 
+def _levels(pairs, cls=Level, count: int | None = None) -> tuple:
+    """``cls(label, energy, group)`` for the lowest ``count`` (all if None)
+    ``(energy, label)`` pairs, ascending by energy, then label."""
+    pairs = sorted(pairs)[:count]
+    groups = _assign_groups([e for e, _ in pairs])
+    return tuple(cls(label, e, g) for (e, label), g in zip(pairs, groups))
+
+
 def box_energy(mass: float, length: float, n: tuple[int, int, int]) -> float:
     return math.pi**2 * sum(v * v for v in n) / (2.0 * mass * length * length)
 
 
 def box_spectrum(mass: float, length: float, n_max: int) -> SpectrumReport:
-    """All cubic-box levels with quantum numbers up to n_max, grouped."""
+    """All cubic-box levels with quantum numbers up to n_max, grouped.
+
+    Raises ``ValueError`` when the levels leave the range of normal floats:
+    when ``2 * mass * length**2`` underflows to 0, when the top level
+    overflows, or when the ground level underflows (degeneracies would be
+    lost to rounding).
+    """
     if not mass > 0 or not length > 0:
         raise ValueError("mass and box side must be positive")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    raw = []
-    for n in product(range(1, n_max + 1), repeat=3):
-        raw.append((box_energy(mass, length, n), n))
-    raw.sort(key=lambda t: (t[0], t[1]))
-    groups = _assign_groups([e for e, _ in raw])
-    levels = tuple(
-        BoxLevel(n=n, energy=e, group=g) for (e, n), g in zip(raw, groups)
-    )
+    if not (2.0 * mass * length * length > 0
+            and box_energy(mass, length, (1, 1, 1)) >= sys.float_info.min
+            and math.isfinite(box_energy(mass, length, (n_max,) * 3))):
+        raise ValueError(
+            f"box levels for mass {mass!r} and side {length!r} leave the float range")
+    ns = product(range(1, n_max + 1), repeat=3)
     return SpectrumReport(
         mode="box-cm",
-        levels=levels,
+        levels=_levels([(box_energy(mass, length, n), n) for n in ns], BoxLevel),
         metadata={"mass": float(mass), "length": float(length), "n_max": n_max},
     )
 
@@ -253,14 +270,9 @@ def fd_eigen_1d(spec: PotentialSpec, count: int, return_vectors: bool = False):
 def internal_spectrum(spec: PotentialSpec, count: int) -> SpectrumReport:
     """FD levels wrapped as a report, labeled by level index."""
     energies = fd_eigen_1d(spec, count)
-    groups = _assign_groups(list(energies))
-    levels = tuple(
-        Level(label=(i,), energy=float(e), group=g)
-        for i, (e, g) in enumerate(zip(energies, groups))
-    )
     return SpectrumReport(
         mode="internal",
-        levels=levels,
+        levels=_levels([(float(e), (i,)) for i, e in enumerate(energies)]),
         metadata={
             "kind": spec.kind,
             "mass": spec.mass,
@@ -285,37 +297,21 @@ def composite_spectrum(
         raise ValueError("internal spectrum must be nonempty")
     if mode == "composite-right":
         offset = float(cm)
-        pairs = [(offset + e, (i,)) for i, e in enumerate(internal)]
-        pairs.sort(key=lambda t: (t[0], t[1]))
-        groups = _assign_groups([e for e, _ in pairs])
-        levels = tuple(
-            Level(label=lab, energy=e, group=g) for (e, lab), g in zip(pairs, groups)
-        )
         return SpectrumReport(
             mode=mode,
-            levels=levels,
+            levels=_levels([(offset + e, (i,)) for i, e in enumerate(internal)]),
             offset=offset,
             metadata={"internal_count": len(internal)},
         )
     if mode == "composite-spurious":
         if not isinstance(cm, SpectrumReport) or cm.mode != "box-cm":
             raise ValueError("composite-spurious needs a box-cm report")
-        pairs = []
-        for i, e_int in enumerate(internal):
-            for lv in cm.levels:
-                pairs.append((e_int + lv.energy, (i, lv.n)))
-        pairs.sort(key=lambda t: (t[0], t[1]))
-        if count is not None:
-            if count < 1:
-                raise ValueError("count must be positive")
-            pairs = pairs[:count]
-        groups = _assign_groups([e for e, _ in pairs])
-        levels = tuple(
-            Level(label=lab, energy=e, group=g) for (e, lab), g in zip(pairs, groups)
-        )
+        if count is not None and count < 1:
+            raise ValueError("count must be positive")
+        pairs = [(e + lv.energy, (i, lv.n)) for i, e in enumerate(internal) for lv in cm.levels]
         return SpectrumReport(
             mode=mode,
-            levels=levels,
+            levels=_levels(pairs, count=count),
             metadata={
                 "internal_count": len(internal),
                 "cm_metadata": dict(cm.metadata),

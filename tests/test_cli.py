@@ -310,6 +310,69 @@ def test_spectrum_composite_refuses_non_finite_values(tmp_path, capsys):
     assert not report.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum", "box", "--side", "1e-200"],
+     ["spectrum", "box", "--side", "1e-160"],
+     ["spectrum", "box", "--mass", "1e-320"],
+     ["spectrum", "box", "--mass", "1e300", "--side", "1e10"],
+     ["spectrum", "composite", "--mode", "spurious", "--internal", "1,2",
+      "--mass", "1", "--side", "1e-200"]],
+    ids=["box-underflow", "box-side-overflow", "box-mass-overflow", "box-levels-underflow",
+         "composite-underflow"],
+)
+def test_spectrum_box_levels_out_of_float_range(argv, capsys):
+    """Box levels outside the normal float64 range exit 2 with an error
+    naming mass and side, and write no report."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: box levels for mass" in err and "side" in err
+
+
+NON_FINITE_OPTIONS = [
+    (["spectrum", "box"], "--mass"),
+    (["spectrum", "box"], "--side"),
+    (["spectrum", "internal", "--potential", "harmonic"], "--omega"),
+    (["spectrum", "internal", "--potential", "box"], "--side"),
+    (["spectrum", "internal", "--potential", "coulomb"], "--kappa"),
+    (["spectrum", "internal", "--potential", "coulomb"], "--rmin"),
+    (["spectrum", "internal", "--potential", "harmonic"], "--mass"),
+    (["spectrum", "composite", "--mode", "spurious", "--internal", "1", "--mass", "1"], "--side"),
+    (["spectrum", "composite", "--mode", "spurious", "--internal", "1", "--side", "1"], "--mass"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("argv, option", NON_FINITE_OPTIONS,
+                         ids=[f"{a[1]}{o}" for a, o in NON_FINITE_OPTIONS])
+def test_spectrum_float_options_must_be_finite(argv, option, value, capsys):
+    """Non-finite float options are refused while parsing: exit 2, an error
+    naming the option, no report, and no numpy warning."""
+    assert main(argv + [f"{option}={value}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {option}: must be a finite number, got {value!r}" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("domain, message", [
+    ("-inf,10", "must be a finite number, got '-inf'"),
+    ("-10,nan", "must be a finite number, got 'nan'"),
+    ("-10,1e400", "must be a finite number, got '1e400'"),
+    ("-10", "expects A,B, got '-10'"),
+    ("-10,10,20", "expects A,B, got '-10,10,20'"),
+    ("-10,", "must be a finite number, got ''"),
+])
+def test_spectrum_internal_domain_must_be_two_finite_numbers(domain, message, capsys):
+    argv = ["spectrum", "internal", "--potential", "coulomb", f"--domain={domain}"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument --domain: {message}" in err
+
+
 def test_spectrum_composite_spurious(capsys):
     code, report = run_json(
         capsys,

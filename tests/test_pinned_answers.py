@@ -11,7 +11,12 @@ kernel's output: the largest Moyal series (D=6, degree 6, 96 terms), a
 large Poisson bracket at D=5 and a small one at D=3.  The ``pipeline``
 instances pin two ``invariants`` reports, whose rows come from the batched
 bracket kernel: the degree-4 centre of ``nsphere`` and the degree-2 centre
-of a generated D=2 Moyal problem.  A drift shows here before a benchmark run.
+of a generated D=2 Moyal problem.  They also pin one report of each level
+table built by ``spectra._levels`` (a 216-level box, a spurious and a
+shifted composite, harmonic FD levels) and a 3-body ``separate`` report in
+3 dimensions, which brackets the 18 images of ``new_variable_images`` in
+``verify_canonical`` and substitutes them to reassemble the Hamiltonian.
+A drift shows here before a benchmark run.
 """
 
 import hashlib
@@ -24,7 +29,10 @@ import pytest
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 PINNED_ALGEBRA = ["sp4-sub/2", "sp6-full/0", "cm/1", "nsphere/1"]
 PINNED_BRACKETS = ["D6-deg6-L-moyal/0", "D5-deg6-L-poisson/3", "D3-deg4-S-poisson/0"]
-PINNED_PIPELINE = ["invariants-bundled/0", "invariants-generated/6"]
+PINNED_PIPELINE = [
+    "invariants-bundled/0", "invariants-generated/6", "spectrum-box/0",
+    "composite-spurious/0", "composite-right/0", "internal-harmonic/0", "separate/2",
+]
 
 
 def run_pinned(workload: str, instance: str, monkeypatch):

@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,9 @@ from phasealg import (
     two_body_transform,
     verify_canonical,
 )
+from phasealg.poly import format_poly
+
+EXPECTED = Path(__file__).resolve().parent / "expected"
 
 
 def kinetic_energy(ctx, masses, d):
@@ -52,12 +57,8 @@ def test_two_body_equal_masses_matrices():
     ctx = cmap.old_context()
     q1, q2 = (PhasePoly.variable(ctx, i) for i in (0, 1))
     p1, p2 = (PhasePoly.variable(ctx, i) for i in (2, 3))
-    qs = cmap.new_position_polys(ctx)
-    ps = cmap.new_momentum_polys(ctx)
-    assert qs[0][0] == q1 - q2
-    assert qs[1][0] == (q1 + q2) / 2
-    assert ps[0][0] == (p1 - p2) / 2
-    assert ps[1][0] == p1 + p2
+    images = cmap.new_variable_images(ctx)
+    assert images == {0: q1 - q2, 1: (q1 + q2) / 2, 2: (p1 - p2) / 2, 3: p1 + p2}
 
 
 def test_two_body_unequal_masses_matrices():
@@ -66,8 +67,12 @@ def test_two_body_unequal_masses_matrices():
     assert cmap.b == ((Fraction(2, 3), Fraction(-1, 3)), (1, 1))
     assert cmap.position_labels == ("r", "R")
     assert cmap.momentum_labels == ("p", "P")
-    assert cmap.variable_label(0, 0, momentum=False) == "r_1"
-    assert cmap.variable_label(1, 2, momentum=True) == "P_3"
+    assert cmap.label(0) == "r_1"
+    assert cmap.label(11) == "P_3"
+    assert [cmap.label(i) for i in range(12)] == [
+        "r_1", "r_2", "r_3", "R_1", "R_2", "R_3",
+        "p_1", "p_2", "p_3", "P_1", "P_2", "P_3",
+    ]
 
 
 def test_two_body_canonical_random_masses():
@@ -80,22 +85,36 @@ def test_two_body_canonical_random_masses():
         assert report.violations == ()
 
 
+BROKEN_MAPS = {
+    "two-body": lambda d: two_body_transform(1, 2, d=d),
+    "jacobi-3": lambda d: jacobi_transform((2, 3, 5), d=d),
+    "jacobi-4": lambda d: jacobi_transform((1, 4, 9, 16), d=d),
+}
+
+
 def test_broken_map_reports_violations():
-    good = two_body_transform(1, 2, d=1)
-    bad = CanonicalMap(
-        d=1,
-        n_bodies=2,
-        a=good.a,
-        b=good.a,
-        masses=good.masses,
-        position_labels=good.position_labels,
-        momentum_labels=good.momentum_labels,
-    )
-    report = verify_canonical(bad)
-    assert not report.passed
-    assert report.violations
-    names = {(i, j) for i, j, _ in report.violations}
-    assert ("r", "p") in names or ("r", "P") in names
+    """Momentum rows replaced by the position rows, or doubled, at d = 1, 2
+    and 3: the full ordered violation list, labels and residuals, is pinned
+    in ``expected/canonical_violations.json``."""
+    expected = json.loads((EXPECTED / "canonical_violations.json").read_text())
+    for d in (1, 2, 3):
+        for name, build in BROKEN_MAPS.items():
+            good = build(d)
+            doubled = tuple(tuple(2 * x for x in row) for row in good.b)
+            for how, b in (("a", good.a), ("2b", doubled)):
+                bad = CanonicalMap(
+                    d=d,
+                    n_bodies=good.n_bodies,
+                    a=good.a,
+                    b=b,
+                    masses=good.masses,
+                    position_labels=good.position_labels,
+                    momentum_labels=good.momentum_labels,
+                )
+                report = verify_canonical(bad)
+                assert not report.passed
+                got = [[i, j, format_poly(p)] for i, j, p in report.violations]
+                assert got == expected[f"{name}/d{d}/{how}"], (name, d, how)
 
 
 def test_scaled_rows_stay_canonical():
@@ -155,15 +174,9 @@ def _image_round_trip(cmap):
     """Forward images of the new variables with the inverse images substituted."""
     old_ctx = cmap.old_context()
     new_ctx = PhaseContext(old_ctx.dof)
-    forward = cmap._forward_images(old_ctx)
+    forward = cmap.new_variable_images(old_ctx)
     inverse = cmap.old_variable_images(new_ctx)
-    qs = cmap.new_position_polys(old_ctx)
-    ps = cmap.new_momentum_polys(old_ctx)
-    dof, d = old_ctx.dof, cmap.d
-    for row in range(cmap.n_bodies):
-        for c in range(d):
-            assert forward[row * d + c] == qs[row][c]
-            assert forward[dof + row * d + c] == ps[row][c]
+    dof = old_ctx.dof
     assert sorted(forward) == sorted(inverse) == list(range(2 * dof))
     for v in range(2 * dof):
         assert forward[v].substitute(inverse, new_ctx) == PhasePoly.variable(new_ctx, v)
@@ -277,6 +290,18 @@ def test_separate_mixed_terms_3d_labels():
     with pytest.raises(SeparationFailure) as err:
         separate_hamiltonian(h, cmap)
     assert any("r_1" in t and "R_1" in t for t in err.value.mixed_terms)
+
+
+def test_separate_mixed_terms_jacobi_3d_labels():
+    cmap = jacobi_transform((2, 3, 5), d=3)
+    ctx = cmap.old_context()
+    q1, q5, p8 = (PhasePoly.variable(ctx, i) for i in (0, 4, 9 + 7))
+    h = kinetic_energy(ctx, (2, 3, 5), 3) + q1 * q1 + q5 * p8
+    with pytest.raises(SeparationFailure) as err:
+        separate_hamiltonian(h, cmap)
+    assert err.value.mixed_terms == [
+        "-6/5*r1_1*R_1", "1/5*r1_2*P_2", "-1*r2_1*R_1", "-1/4*r2_2*P_2", "R_2*p2_2",
+    ]
 
 
 def test_input_validation():

@@ -1,4 +1,5 @@
 import math
+import sys
 from itertools import product
 
 import numpy as np
@@ -68,6 +69,15 @@ def test_box_spectrum_validation():
         box_spectrum(1, -1, 2)
     with pytest.raises(ValueError):
         box_spectrum(1, 1, 0)
+    # 2 M l^2 underflows to 0 (once a ZeroDivisionError), the levels
+    # overflow, or 2 M l^2 overflows and the levels underflow (once all 0.0)
+    for mass, side in ((1, 1e-200), (1e-300, 1e-100), (1, 1e-160), (1e-320, 1),
+                       (1e300, 1e10), (1e300, 1e5)):
+        with pytest.raises(ValueError, match="mass .* and side .* leave the float range"):
+            box_spectrum(mass, side, 3)
+    for mass, side in ((1, 1e-150), (1e300, 1e2)):
+        levels = box_spectrum(mass, side, 2).energies()
+        assert all(math.isfinite(e) and e >= sys.float_info.min for e in levels)
 
 
 def test_potential_spec_validation():
