@@ -48,10 +48,10 @@ One walk takes a list of left operands, packed in one layout over their
 own denominators, each term's keys tagged with its index in a field above
 the top exponent field.  The tag survives the walk: a derivative subtracts
 a unit only from a field that holds it, and B is untagged and the layout
-keeps every product's exponents inside their fields.  The brackets are the
-one-term case, tag 0; ``_blocks`` splits a batched result into per-term
-blocks, which is how an invariant search brackets every ansatz term with a
-seed in one walk.
+keeps every product's exponents inside their fields.  The public brackets
+are the one-term case, tag 0; ``_blocks`` splits a batched result into
+per-term dicts and serves every engine caller: closure, ``verify``, the
+invariant rows, ``verify_invariant`` and ``verify_canonical``.
 """
 
 from __future__ import annotations
@@ -74,9 +74,9 @@ def moyal_bracket(a: PhasePoly, b: PhasePoly) -> PhasePoly:
 
 
 def _blocks(terms: list[PhasePoly], b: PhasePoly,
-            moyal: bool) -> list[list[tuple[Expvec, Fraction]]]:
-    """``bracket(T, b).term_items()`` for each ``T`` in ``terms``, in order,
-    from one walk."""
+            moyal: bool) -> list[dict[Expvec, Fraction]]:
+    """``bracket(T, b)._terms`` for each ``T`` in ``terms``, in order, from
+    one walk."""
     return _unpack_blocks(*_series(terms, b, moyal))
 
 

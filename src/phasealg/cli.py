@@ -50,7 +50,6 @@ from .spectra import (
     box_spectrum,
     composite_spectrum,
     coulomb_potential,
-    fd_eigen_1d,
     harmonic_potential,
     internal_spectrum,
     read_tabulated,
@@ -318,22 +317,40 @@ def cmd_spectrum_box(args) -> int:
     return 0
 
 
+# What each potential of ``spectrum internal`` reads, with the defaults,
+# besides --mass, --grid and --count.
+_POTENTIAL_OPTIONS = {
+    "harmonic": {"omega": 1.0, "domain": (-10.0, 10.0)},
+    "box": {"side": 1.0},
+    "coulomb": {"kappa": 1.0, "rmin": 0.05, "domain": (-10.0, 10.0)},
+    "tabulated": {"table": None},
+}
+
+
+def _refuse_unread(args, names, where: str) -> None:
+    """A ``ValueError`` naming each option of ``names`` given: ``where`` ignores it."""
+    if given := [f"--{name}" for name in names if getattr(args, name) is not None]:
+        raise ValueError(f"{where} does not read {', '.join(given)}")
+
+
 def _potential_from_args(args):
+    reads = _POTENTIAL_OPTIONS[args.potential]
+    every = dict.fromkeys(name for options in _POTENTIAL_OPTIONS.values() for name in options)
+    _refuse_unread(args, [name for name in every if name not in reads],
+                   f"--potential {args.potential}")
+    opt = {name: default if getattr(args, name) is None else getattr(args, name)
+           for name, default in reads.items()}
     if args.potential == "harmonic":
-        return harmonic_potential(
-            args.omega, mass=args.mass, domain=args.domain, grid=args.grid
-        )
+        return harmonic_potential(opt["omega"], mass=args.mass, domain=opt["domain"],
+                                  grid=args.grid)
     if args.potential == "box":
-        return box_potential(args.side, mass=args.mass, grid=args.grid)
+        return box_potential(opt["side"], mass=args.mass, grid=args.grid)
     if args.potential == "coulomb":
-        return coulomb_potential(
-            args.kappa, args.rmin, mass=args.mass, domain=args.domain, grid=args.grid
-        )
-    if args.potential == "tabulated":
-        if not args.table:
-            raise ValueError("--potential tabulated needs --table PATH")
-        return read_tabulated(args.table, mass=args.mass, grid=args.grid)
-    raise ValueError(f"unknown potential {args.potential!r}")
+        return coulomb_potential(opt["kappa"], opt["rmin"], mass=args.mass, domain=opt["domain"],
+                                 grid=args.grid)
+    if not opt["table"]:
+        raise ValueError("--potential tabulated needs --table PATH")
+    return read_tabulated(opt["table"], mass=args.mass, grid=args.grid)
 
 
 def cmd_spectrum_internal(args) -> int:
@@ -345,14 +362,19 @@ def cmd_spectrum_internal(args) -> int:
 
 def cmd_spectrum_composite(args) -> int:
     if args.mode == "right":
+        if args.f is None:
+            _refuse_unread(args, ["count", "side", "nmax"], "--mode right")
+        else:
+            _refuse_unread(args, ["count", "side", "nmax", "mass"], "--mode right with --f")
         offset = args.f if args.f is not None else args.mass
         if offset is None:
             raise ValueError("composite right mode needs --f or --mass")
         rep = composite_spectrum(args.internal, float(offset), "composite-right")
     else:
+        _refuse_unread(args, ["f"], "--mode spurious")
         if args.mass is None or args.side is None:
             raise ValueError("composite spurious mode needs --mass and --side")
-        cm = box_spectrum(args.mass, args.side, args.nmax)
+        cm = box_spectrum(args.mass, args.side, 3 if args.nmax is None else args.nmax)
         rep = composite_spectrum(
             args.internal, cm, "composite-spurious", count=args.count
         )
@@ -495,13 +517,14 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("harmonic", "box", "coulomb", "tabulated"),
         default="harmonic",
     )
-    p_int.add_argument("--omega", type=_finite, default=1.0)
-    p_int.add_argument("--side", type=_finite, default=1.0)
-    p_int.add_argument("--kappa", type=_finite, default=1.0)
-    p_int.add_argument("--rmin", type=_finite, default=0.05)
+    # refused unless the potential reads them (_POTENTIAL_OPTIONS)
+    p_int.add_argument("--omega", type=_finite)
+    p_int.add_argument("--side", type=_finite)
+    p_int.add_argument("--kappa", type=_finite)
+    p_int.add_argument("--rmin", type=_finite)
     p_int.add_argument("--table", help="two-column file for tabulated potentials")
+    p_int.add_argument("--domain", type=_finite_pair, metavar="A,B")
     p_int.add_argument("--mass", type=_finite, default=1.0)
-    p_int.add_argument("--domain", type=_finite_pair, default="-10,10", metavar="A,B")
     p_int.add_argument("--grid", type=int, default=2000)
     p_int.add_argument("--count", type=int, default=5)
     p_int.add_argument("-o", "--output")
@@ -513,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_comp.add_argument("--f", type=_finite, help="offset for right mode")
     p_comp.add_argument("--mass", type=_finite)
     p_comp.add_argument("--side", type=_finite)
-    p_comp.add_argument("--nmax", type=int, default=3)
+    p_comp.add_argument("--nmax", type=int, help="spurious mode only (default 3)")
     p_comp.add_argument("--count", type=int, help="truncate spurious level list")
     p_comp.add_argument("-o", "--output")
     p_comp.set_defaults(func=cmd_spectrum_composite)

@@ -10,20 +10,21 @@ with exact structure constants
 
 Constant remainders are folded into a single flagged identity element stored
 as the polynomial 1.  New non-constant elements are normalized so their
-graded-lex leading coefficient is 1 and named g1, g2, ... in creation order;
-the worklist is FIFO over pair-creation order, so runs are reproducible.
-Closure, ``span_reduce`` and ``verify`` reduce term maps through
-``linsolve.Echelon``, pivoting on the graded-lex leading monomial.
+graded-lex leading coefficient is 1 and named g1, g2, ... in creation order.
+Pairs (i, j), i < j, go in order of j, then i, so runs are reproducible;
+closure and ``verify`` bracket ``basis[:j]`` with ``basis[j]`` in one walk
+of the kernel (``brackets._blocks``).  Both, and ``span_reduce``, reduce
+term maps through ``linsolve.Echelon``, pivoting on the graded-lex leading
+monomial.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .brackets import moyal_bracket, poisson_bracket
+from .brackets import _blocks
 from .context import PhaseContext
 from .errors import EmptySeedError, NonClosingError
 from .linsolve import Echelon
@@ -86,29 +87,20 @@ class LieClosure:
                 return i
         return None
 
-    def element_named(self, name: str) -> AlgebraElement:
-        for elem in self.basis:
-            if elem.name == name:
-                return elem
-        raise KeyError(name)
-
-    def bracket(self, a: PhasePoly, b: PhasePoly) -> PhasePoly:
-        return _bracket_fn(self.bracket_kind)(a, b)
-
     def verify(self) -> bool:
-        """Recompute every pairwise bracket and check it reduces exactly."""
-        n = len(self.basis)
+        """Recompute every bracket, one walk per j, and check that each lies
+        in the span and that their nonzero coordinates, keyed ``(i, j, k)``,
+        are exactly ``structure``: an entry no bracket makes fails."""
+        polys = [elem.poly for elem in self.basis]
         span = _span(self.basis)
-        for i in range(n):
-            for j in range(i + 1, n):
-                br = self.bracket(self.basis[i].poly, self.basis[j].poly)
-                coords, rem = span.reduce(br._terms)
+        table: dict[tuple[int, int, int], Fraction] = {}
+        for j in range(1, len(polys)):
+            for i, br in enumerate(_blocks(polys[:j], polys[j], self.bracket_kind == "moyal")):
+                coords, rem = span.reduce(br)
                 if rem:
                     return False
-                for k in range(n):
-                    if coords.get(k, Fraction(0)) != self.structure_constant(i, j, k):
-                        return False
-        return True
+                table.update(((i, j, k), c) for k, c in coords.items())
+        return table == self.structure
 
     def check_jacobi_tensor(self) -> bool:
         """Jacobi identity as a contraction over the nonzero structure constants.
@@ -135,14 +127,6 @@ class LieClosure:
         return True
 
 
-def _bracket_fn(kind: str) -> Callable[[PhasePoly, PhasePoly], PhasePoly]:
-    if kind == "poisson":
-        return poisson_bracket
-    if kind == "moyal":
-        return moyal_bracket
-    raise ValueError(f"unknown bracket kind {kind!r}")
-
-
 def close_algebra(
     seeds: Sequence[AlgebraElement],
     bracket_kind: str = "poisson",
@@ -151,16 +135,18 @@ def close_algebra(
 ) -> LieClosure:
     """Close the bracket algebra generated by ``seeds``.
 
-    Worklist algorithm: seeds that are linearly independent initialize the
-    basis; every unordered pair is bracketed once, in creation order, and
-    nonzero remainders join the basis until no pair produces anything new.
-    Raises ``NonClosingError`` when the basis would exceed ``max_basis`` or a
-    bracket result exceeds total degree ``max_degree``.
+    Seeds that are linearly independent initialize the basis; every pair
+    (i, j), i < j, is bracketed once, in order of j, then i (one kernel walk
+    per j), and nonzero remainders join the basis until no pair produces
+    anything new.  Raises ``NonClosingError`` when the basis would exceed
+    ``max_basis`` or a bracket result exceeds total degree ``max_degree``.
     """
     if not seeds:
         raise EmptySeedError("close_algebra requires at least one seed")
     ctx = seeds[0].poly.ctx
-    bracket = _bracket_fn(bracket_kind)
+    if bracket_kind not in ("poisson", "moyal"):
+        raise ValueError(f"unknown bracket kind {bracket_kind!r}")
+    moyal = bracket_kind == "moyal"
     names_seen: set[str] = set()
     for seed in seeds:
         seed.poly.ctx.require_same(ctx)
@@ -175,7 +161,6 @@ def close_algebra(
     basis: list[AlgebraElement] = []
     ech = Echelon(_leading)
     structure: dict[tuple[int, int, int], Fraction] = {}
-    queue: deque[tuple[int, int]] = deque()
     gen_counter = 0
 
     def fresh_name() -> str:
@@ -200,10 +185,8 @@ def close_algebra(
             name = seed.name if seed else "1" if identity else fresh_name()
             scaled = PhasePoly._build(ctx, {e: c / lead for e, c in rem.items()})
             elem = AlgebraElement(name, scaled, is_identity=identity)
-        idx = len(basis)
+        ech.add(elem.poly._terms, len(basis))
         basis.append(elem)
-        ech.add(elem.poly._terms, idx)
-        queue.extend((i, idx) for i in range(idx))
         return lead
 
     for seed in seeds:
@@ -211,27 +194,22 @@ def close_algebra(
         if rem:
             admit(rem, seed)
 
-    while queue:
-        i, j = queue.popleft()
-        br = bracket(basis[i].poly, basis[j].poly)
-        if br.total_degree() > max_degree:
-            raise NonClosingError(
-                f"bracket degree {br.total_degree()} exceeds max_degree {max_degree}",
-                (basis[i].name, basis[j].name),
-                len(basis),
-            )
-        coords, rem = ech.reduce(br._terms)
-        if rem:
-            if len(basis) >= max_basis:
-                raise NonClosingError(
-                    f"basis size exceeds max_basis {max_basis}",
-                    (basis[i].name, basis[j].name),
-                    len(basis),
-                )
-            idx = len(basis)
-            coords[idx] = admit(rem)
-        for k, c in coords.items():
-            structure[(i, j, k)] = c
+    j = 1
+    while j < len(basis):
+        blocks = _blocks([elem.poly for elem in basis[:j]], basis[j].poly, moyal)
+        for i, br in enumerate(blocks):
+            if (degree := max(map(sum, br), default=-1)) > max_degree:
+                reason = f"bracket degree {degree} exceeds max_degree {max_degree}"
+                raise NonClosingError(reason, (basis[i].name, basis[j].name), len(basis))
+            coords, rem = ech.reduce(br)
+            if rem:
+                if len(basis) >= max_basis:
+                    reason = f"basis size exceeds max_basis {max_basis}"
+                    raise NonClosingError(reason, (basis[i].name, basis[j].name), len(basis))
+                idx = len(basis)   # admit appends: take the index first
+                coords[idx] = admit(rem)
+            structure.update(((i, j, k), c) for k, c in coords.items())
+        j += 1
 
     return LieClosure(
         basis=tuple(basis),

@@ -77,9 +77,6 @@ class PhaseContext:
             return f"q{index + 1}"
         return f"p{index - self.dof + 1}"
 
-    def variable_names(self) -> tuple[str, ...]:
-        return tuple(self.var_name(i) for i in range(self.nvars))
-
     def parameter(self, name: str) -> Fraction | None:
         return self.params.get(name)
 

@@ -21,8 +21,9 @@ Both searches take their rows from the bracket kernel itself: one walk per
 seed brackets every ansatz term with it (``brackets._blocks``), under
 either bracket and at any hbar, so no bracket is taken per term.  The one
 contract left is row order (seed, ansatz term, graded-lex-descending
-monomial), for which each term's block is sorted: ``nullspace``'s output
-depends on the order while its ``sparse_rref`` defect stands.
+monomial): ``_rows`` sorts each of the kernel's unordered blocks, because
+``nullspace``'s output depends on the order while its ``sparse_rref``
+defect stands.
 
 ``verify_invariant`` stays an independent check against the full basis.
 An empty nontrivial solution set is a meaningful result: for an
@@ -42,7 +43,7 @@ from .brackets import _blocks
 from .closure import LieClosure
 from .errors import AnsatzTooLargeError
 from .linsolve import nullspace, sub_scaled
-from .poly import Expvec, PhasePoly, _grlex_key
+from .poly import Expvec, PhasePoly, _grlex_item, _grlex_key
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,8 @@ def _rows(terms: Sequence[PhasePoly], closure: LieClosure) -> dict:
     ``bracket(T_u, s)``; each row maps ansatz index ``u`` to its coefficient.
     Each seed's blocks come from one walk of the bracket kernel over every
     term (``brackets._blocks``), under either bracket and at any hbar; the
-    blocks are sorted only because ``nullspace`` depends on this order.
+    blocks are unordered and are sorted here only because ``nullspace``
+    depends on this order.
     """
     seeds = set(closure.seed_names)
     moyal = closure.bracket_kind == "moyal"
@@ -98,7 +100,7 @@ def _rows(terms: Sequence[PhasePoly], closure: LieClosure) -> dict:
             continue
         for u, block in enumerate(_blocks(terms, elem.poly, moyal)):
             # a bracket's monomials are distinct: one entry per (row, term)
-            for mono, coeff in block:
+            for mono, coeff in sorted(block.items(), key=_grlex_item, reverse=True):
                 rows.setdefault((k, mono), {})[u] = coeff
     return rows
 
@@ -195,10 +197,13 @@ def find_center(
 
 
 def verify_invariant(p: PhasePoly, closure: LieClosure) -> InvariantReport:
-    """Bracket ``p`` against every basis element; pass iff all vanish."""
+    """Bracket ``p`` against every basis element; pass iff all vanish.  One
+    walk brackets the basis with ``p``: ``bracket(p, b)`` is b's block negated."""
     p.ctx.require_same(closure.ctx)
+    blocks = _blocks([elem.poly for elem in closure.basis], p, closure.bracket_kind == "moyal")
     residuals = tuple(
-        (elem.name, closure.bracket(p, elem.poly)) for elem in closure.basis
+        (elem.name, -PhasePoly._build(closure.ctx, block))
+        for elem, block in zip(closure.basis, blocks)
     )
     return InvariantReport(
         residuals=residuals, passed=all(r.is_zero() for _, r in residuals)

@@ -104,18 +104,16 @@ def _unpack(ctx: PhaseContext, acc: Mapping[int, int], layout: Struct, den: int)
 
 
 def _unpack_blocks(acc: Mapping[int, int], layout: Struct,
-                   dens: list[int]) -> list[list[tuple[Expvec, Fraction]]]:
+                   dens: list[int]) -> list[dict[Expvec, Fraction]]:
     """Per tag ``u``, the terms ``acc[key] / dens[u] * x^key`` whose keys
-    carry tag ``u`` (``_pack``), in ``PhasePoly.term_items`` order."""
+    carry tag ``u`` (``_pack``), as a term dict ``PhasePoly._build`` takes."""
     size, unpack, shift = layout.size, layout.unpack, 8 * layout.size
-    blocks: list[list[tuple[Expvec, Fraction]]] = [[] for _ in dens]
+    blocks: list[dict[Expvec, Fraction]] = [{} for _ in dens]
     for key, num in acc.items():
         if num:
             u = key >> shift
             exps = unpack((key - (u << shift)).to_bytes(size, "little"))
-            blocks[u].append((exps, Fraction(num, dens[u])))
-    for block in blocks:
-        block.sort(key=_grlex_item, reverse=True)
+            blocks[u][exps] = Fraction(num, dens[u])
     return blocks
 
 
@@ -215,12 +213,6 @@ class PhasePoly:
         if not self._terms:
             return -1
         return max(sum(e) for e in self._terms)
-
-    def leading_term(self) -> tuple[Expvec, Fraction]:
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading term")
-        exps = max(self._terms, key=_grlex_key)
-        return exps, self._terms[exps]
 
     # -- ring operations ---------------------------------------------------------
 

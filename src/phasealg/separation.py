@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .brackets import poisson_bracket
+from .brackets import _blocks
 from .context import PhaseContext
 from .errors import SeparationFailure
 from .linsolve import invert
@@ -204,13 +204,15 @@ def verify_canonical(cmap: CanonicalMap) -> CanonicalReport:
     The images are bracketed pairwise, ``i < j`` in flat-index order; the
     pair is conjugate, with bracket 1, exactly when ``j == i + dof``.  Each
     violation is ``(label(i), label(j), bracket - expected)``, in that order.
+    One walk per ``i`` brackets the later images with ``images[i]``, negated.
     """
     ctx = cmap.old_context()
     images = cmap.new_variable_images(ctx)
     violations = []
-    for i in range(ctx.nvars):
-        for j in range(i + 1, ctx.nvars):
-            br = poisson_bracket(images[i], images[j])
+    for i in range(ctx.nvars - 1):
+        blocks = _blocks([images[j] for j in range(i + 1, ctx.nvars)], images[i], False)
+        for j, block in enumerate(blocks, i + 1):
+            br = -PhasePoly._build(ctx, block)
             expected = PhasePoly.constant(ctx, 1 if j == i + ctx.dof else 0)
             if br != expected:
                 violations.append((cmap.label(i), cmap.label(j), br - expected))

@@ -278,10 +278,10 @@ def test_single_walk_matches_per_k_reference():
 def test_batched_kernel_matches_single_brackets():
     """``brackets._blocks`` walks every left operand at once, each term's
     packed keys tagged with its index in a field above the top exponent
-    field; each block must be that term's own bracket in ``term_items``
-    order.  The terms are the left operands of ``kernel_cases`` (mixed
-    denominators and degrees, the zero polynomial) and the constant 1, the
-    seeds its right operands; at D=1 the 127/128 edge operands drive the
+    field; each block must be that term's own bracket, as its term dict.
+    The terms are the left operands of ``kernel_cases`` (mixed denominators
+    and degrees, the zero polynomial) and the constant 1, the seeds its
+    right operands; at D=1 the 127/128 edge operands drive the
     top field's high bit, right below the tag, and across the byte boundary."""
     hbars = (0, 1, Fraction(3, 2), Fraction(-2, 7))
     for dof, hbar in product((1, 2, 3), hbars):
@@ -291,9 +291,9 @@ def test_batched_kernel_matches_single_brackets():
         terms = [PhasePoly.constant(cases[0][0].ctx, 1), *lefts.values()]
         for s in rights.values():
             assert brackets._blocks(terms, s, False) == [
-                poisson_bracket(t, s).term_items() for t in terms]
+                poisson_bracket(t, s)._terms for t in terms]
             assert brackets._blocks(terms, s, True) == [
-                moyal_bracket(t, s).term_items() for t in terms]
+                moyal_bracket(t, s)._terms for t in terms]
 
 
 def test_moyal_walk_is_not_cubic_in_the_degree(monkeypatch):

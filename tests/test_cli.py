@@ -373,6 +373,46 @@ def test_spectrum_internal_domain_must_be_two_finite_numbers(domain, message, ca
     assert f"argument --domain: {message}" in err
 
 
+UNREAD_OPTIONS = {
+    "right-f-count-nmax-side": (
+        ["composite", "--mode", "right", "--internal", "1,2", "--f", "1",
+         "--count", "1", "--nmax", "9", "--side", "4"], ["--count", "--side", "--nmax"]),
+    "right-f-mass": (
+        ["composite", "--mode", "right", "--internal", "1,2", "--f", "1", "--mass", "3"],
+        ["--mass"]),
+    "right-mass-nmax": (
+        ["composite", "--mode", "right", "--internal", "1,2", "--mass", "3", "--nmax", "2"],
+        ["--nmax"]),
+    "spurious-f": (
+        ["composite", "--mode", "spurious", "--internal", "1,2", "--mass", "1", "--side", "1",
+         "--f", "2"], ["--f"]),
+    "box-omega-kappa-domain": (
+        ["internal", "--potential", "box", "--side", "2", "--omega", "7", "--kappa", "3",
+         "--domain=-1,1", "--count", "2", "--grid", "100"], ["--omega", "--kappa", "--domain"]),
+    "harmonic-table-side-rmin": (
+        ["internal", "--potential", "harmonic", "--table", "x.dat", "--side", "3", "--rmin", "9",
+         "--count", "2", "--grid", "100"], ["--table", "--side", "--rmin"]),
+    "coulomb-omega": (
+        ["internal", "--potential", "coulomb", "--omega", "2", "--count", "2", "--grid", "100"],
+        ["--omega"]),
+    "tabulated-domain": (
+        ["internal", "--potential", "tabulated", "--table", "x.dat", "--domain=-1,1"],
+        ["--domain"]),
+    "default-potential-side": (["internal", "--side", "2"], ["--side"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREAD_OPTIONS))
+def test_spectrum_refuses_options_the_mode_does_not_read(name, capsys):
+    """An option that the composite mode or the potential does not read
+    exits 2, names every such option given, and writes no report."""
+    argv, options = UNREAD_OPTIONS[name]
+    assert main(["spectrum", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert all(option in err for option in options), err
+
+
 def test_spectrum_composite_spurious(capsys):
     code, report = run_json(
         capsys,

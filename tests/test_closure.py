@@ -1,8 +1,10 @@
+from collections import deque
 from fractions import Fraction
 
 import dataclasses
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -10,15 +12,27 @@ from conftest import cm_closure, random_poly, random_rational, sphere_closure
 from phasealg import (
     AlgebraElement,
     EmptySeedError,
+    LieClosure,
     NonClosingError,
     PhaseContext,
     PhasePoly,
+    brackets,
     close_algebra,
     convention_notes,
+    find_casimir,
+    find_center,
+    jacobi_transform,
+    moyal_bracket,
     parse_expression,
+    poisson_bracket,
     span_reduce,
     structure_constants,
+    verify_canonical,
+    verify_invariant,
 )
+from phasealg.cli import load_problem
+from phasealg.linsolve import Echelon
+from phasealg.poly import _grlex_key
 
 
 def _elements(ctx, exprs):
@@ -53,6 +67,19 @@ def test_sphere_closure_self_checks():
     cl = sphere_closure()
     assert cl.verify()
     assert cl.check_jacobi_tensor()
+
+
+def test_verify_rejects_entries_no_bracket_produces():
+    """``verify`` compares the whole table: an entry on an index past the
+    basis, one keyed with i > j, a changed one and a missing one all fail."""
+    cl = sphere_closure()
+    n = len(cl.basis)
+    for key, value in (((0, 1, n + 3), 1), ((2, 1, 0), 5), ((0, 1, 2), -3)):
+        changed = dataclasses.replace(cl, structure={**cl.structure, key: Fraction(value)})
+        assert changed.verify() is False, key
+    missing = dict(cl.structure)
+    del missing[(1, 2, 3)]
+    assert dataclasses.replace(cl, structure=missing).verify() is False
 
 
 def _dense_jacobi(cl):
@@ -118,8 +145,9 @@ def test_cm_closure_trace():
     assert names == ["H", "X1", "X2", "X3", "g1", "g2", "g3", "1"]
     assert len(cl.basis) == 8
     ctx = cl.ctx
+    elements = {e.name: e for e in cl.basis}
     for i in (1, 2, 3):
-        assert cl.element_named(f"g{i}").poly == PhasePoly.variable(ctx, f"p{i}")
+        assert elements[f"g{i}"].poly == PhasePoly.variable(ctx, f"p{i}")
         # {H, X_i} = -p_i / M, M = 1
         assert cl.structure_constant(0, i, 3 + i) == -1
         # {X_i, p_i} = 1 lands on the identity
@@ -141,7 +169,7 @@ def test_new_elements_normalized_to_leading_one():
     cl = cm_closure(total_mass=7)
     # {H, X1} = -p1/7, yet the stored generator is p1 itself
     ctx = cl.ctx
-    assert cl.element_named("g1").poly == PhasePoly.variable(ctx, "p1")
+    assert {e.name: e.poly for e in cl.basis}["g1"] == PhasePoly.variable(ctx, "p1")
     assert cl.structure_constant(0, 1, 4) == Fraction(-1, 7)
 
 
@@ -282,12 +310,6 @@ def test_structure_constants_listing():
     ]
 
 
-def test_lookup_errors():
-    cl = sphere_closure()
-    with pytest.raises(KeyError):
-        cl.element_named("nope")
-
-
 def test_convention_notes_sign_warning():
     cl = sphere_closure()
     notes = convention_notes(cl)
@@ -348,7 +370,7 @@ class _ReferenceEchelon:
         return coords, rem
 
     def add(self, reduced, coords):
-        head, _ = reduced.leading_term()
+        head = reduced.monomials()[0]
         assert head not in self.rows, "row not fully reduced"
         self.rows[head] = (reduced, coords)
 
@@ -401,3 +423,169 @@ def test_span_reduce_matches_reference_echelon():
             assert rebuilt == target
             outside += not rem.is_zero()
     assert 30 < outside < 150
+
+
+def reference_close(seeds, bracket_kind="poisson", max_basis=32, max_degree=16):
+    """Closure as a FIFO queue of pairs, one public bracket per pair:
+    admitting element ``idx`` queues (0, idx) ... (idx - 1, idx).  Valid
+    seeds only; same basis, structure and ``NonClosingError`` contract as
+    ``close_algebra``."""
+    bracket = {"poisson": poisson_bracket, "moyal": moyal_bracket}[bracket_kind]
+    ctx = seeds[0].poly.ctx
+    names_seen = {seed.name for seed in seeds}
+    fresh = (f"g{k}" for k in itertools.count(1))
+    basis, structure, queue = [], {}, deque()
+    ech = Echelon(lambda terms: max(terms, key=_grlex_key))
+
+    def admit(rem, seed=None):
+        head = max(rem, key=_grlex_key)
+        lead, identity = rem[head], not any(head)
+        if seed and not identity:
+            elem = AlgebraElement(seed.name, seed.poly)
+        else:
+            if seed or identity:
+                name = seed.name if seed else "1"
+            else:
+                name = next(n for n in fresh if n not in names_seen)
+                names_seen.add(name)
+            scaled = PhasePoly(ctx, {e: c / lead for e, c in rem.items()})
+            elem = AlgebraElement(name, scaled, is_identity=identity)
+        idx = len(basis)
+        basis.append(elem)
+        ech.add(elem.poly._terms, idx)
+        queue.extend((i, idx) for i in range(idx))
+        return lead
+
+    for seed in seeds:
+        _, rem = ech.reduce(seed.poly._terms)
+        if rem:
+            admit(rem, seed)
+    while queue:
+        i, j = queue.popleft()
+        br = bracket(basis[i].poly, basis[j].poly)
+        pair = (basis[i].name, basis[j].name)
+        if br.total_degree() > max_degree:
+            raise NonClosingError(
+                f"bracket degree {br.total_degree()} exceeds max_degree {max_degree}",
+                pair, len(basis))
+        coords, rem = ech.reduce(br._terms)
+        if rem:
+            if len(basis) >= max_basis:
+                reason = f"basis size exceeds max_basis {max_basis}"
+                raise NonClosingError(reason, pair, len(basis))
+            idx = len(basis)
+            coords[idx] = admit(rem)
+        for k, c in coords.items():
+            structure[(i, j, k)] = c
+    return LieClosure(tuple(basis), structure, bracket_kind,
+                      tuple(seed.name for seed in seeds), ctx)
+
+
+def _outcome(close, seeds, **options):
+    """What a closure run gives: basis names, polynomials, identity flags
+    and structure, or the ``NonClosingError`` message, pair and basis size."""
+    try:
+        cl = close(seeds, **options)
+    except NonClosingError as exc:
+        return str(exc), exc.pair, exc.basis_size
+    return ([(e.name, e.poly._terms, e.is_identity) for e in cl.basis], cl.structure)
+
+
+def _random_seeds(rng, ctx):
+    """One to four seeds: random polynomials, constants, and multiples of an
+    earlier seed; a seed is sometimes named like a generated element."""
+    polys = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.random()
+        if kind < 0.15:
+            polys.append(PhasePoly.constant(ctx, random_rational(rng) or 2))
+        elif kind < 0.3 and polys:
+            polys.append(polys[-1] * (random_rational(rng) or 3))
+        else:
+            p = random_poly(rng, ctx, max_degree=3, max_terms=3)
+            polys.append(p if not p.is_zero() else PhasePoly.variable(ctx, 0))
+    names = [f"s{i}" for i in range(len(polys))]
+    if rng.random() < 0.2:
+        names[rng.randrange(len(names))] = rng.choice(["g1", "g2"])
+    return [AlgebraElement(name, p) for name, p in zip(names, polys)]
+
+
+def _bundled_seeds(name, hbar=None):
+    problem = load_problem(name)
+    if hbar is not None:
+        problem.hbar = Fraction(hbar)
+    return problem.seeds(problem.context())
+
+
+CLOSURE_CASES = {
+    "quartic-basis-caps": [
+        (_bundled_seeds("quartic"), dict(max_basis=cap, max_degree=12)) for cap in range(4, 17)],
+    "quartic-degree-caps": [
+        (_bundled_seeds("quartic"), dict(max_basis=40, max_degree=deg)) for deg in range(3, 13)],
+    "quartic-moyal": [
+        (_bundled_seeds("quartic", hbar), dict(bracket_kind="moyal", max_basis=cap, max_degree=12))
+        for hbar in (0, 1, Fraction(3, 2)) for cap in (6, 10, 16)],
+    "bundled": [
+        (_bundled_seeds(name, hbar), dict(bracket_kind=kind))
+        for name in ("nsphere", "cm")
+        for kind, hbar in (("poisson", 1), ("moyal", Fraction(3, 2)))],
+    "constant-and-dependent": [
+        (_elements(PhaseContext(2), pairs), {}) for pairs in (
+            [("A", "q1*p1"), ("c", "3"), ("B", "2*q1*p1"), ("C", "q2^2")],
+            [("H", "q1"), ("U", "q1 + 1"), ("P", "p1")],
+            [("g1", "q1^2"), ("H", "p1^2/2"), ("K", "p1^2 + q1^2")],
+        )],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_CASES))
+def test_close_algebra_matches_fifo_reference(name):
+    for seeds, options in CLOSURE_CASES[name]:
+        want = _outcome(reference_close, seeds, **options)
+        assert _outcome(close_algebra, seeds, **options) == want
+
+
+def test_close_algebra_matches_fifo_reference_on_random_seeds():
+    rng = random.Random(1601)
+    stopped = 0
+    for _ in range(300):
+        hbar = rng.choice([0, 1, Fraction(3, 2)])
+        ctx = PhaseContext(rng.randint(1, 2), hbar=hbar, max_degree=64)
+        seeds = _random_seeds(rng, ctx)
+        options = dict(bracket_kind=rng.choice(["poisson", "moyal"]),
+                       max_basis=rng.randint(4, 16), max_degree=rng.randint(3, 8))
+        got = _outcome(close_algebra, seeds, **options)
+        assert got == _outcome(reference_close, seeds, **options)
+        stopped += isinstance(got[0], str)
+    assert 30 < stopped < 270
+
+
+def test_engine_takes_no_single_bracket(monkeypatch):
+    """Closure, ``verify``, the invariant searches and checks, and
+    ``verify_canonical`` take every bracket from the batched kernel, not
+    from ``poisson_bracket`` or ``moyal_bracket``."""
+    calls = []
+
+    def spy(real):
+        def call(a, b):
+            calls.append(real.__name__)
+            return real(a, b)
+        return call
+
+    for name, module in list(sys.modules.items()):
+        if name == "phasealg" or name.startswith("phasealg."):
+            for fn in ("poisson_bracket", "moyal_bracket"):
+                if hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, spy(getattr(module, fn)))
+    for bracket in ("poisson", "moyal"):
+        cl = sphere_closure(m=2, r0=3, bracket=bracket)
+        assert cl.verify()
+        solutions = [s.realization for s in find_casimir(cl)]
+        solutions += find_center(cl, max_total_degree=2).solutions
+        assert all(verify_invariant(p, cl).passed for p in solutions)
+        assert not verify_invariant(PhasePoly.variable(cl.ctx, "q1"), cl).passed
+    assert verify_canonical(jacobi_transform([1, 2, 3], d=2)).passed
+    assert calls == []
+    one = PhasePoly.variable(PhaseContext(1), "q1")
+    brackets.poisson_bracket(one, one)
+    assert calls == ["poisson_bracket"]   # the spy sees a single bracket

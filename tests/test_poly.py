@@ -77,8 +77,6 @@ def test_term_ordering_graded_lex(ctx):
     )
     monos = p.monomials()
     assert monos == ((2, 0, 0, 0), (1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 0, 0))
-    lead_exps, lead_coeff = p.leading_term()
-    assert lead_exps == (2, 0, 0, 0) and lead_coeff == 1
 
 
 def test_arithmetic_examples(ctx):

@@ -63,7 +63,7 @@ def operands(count: int, low: bool = False):
 
 
 def to_sympy(p: PhasePoly):
-    names = p.ctx.variable_names()
+    names = [p.ctx.var_name(i) for i in range(p.ctx.nvars)]
     syms = sympy.symbols(names)
     expr = sympy.Integer(0)
     for exps, c in p.term_items():
