@@ -48,10 +48,14 @@ One walk takes a list of left operands, packed in one layout over their
 own denominators, each term's keys tagged with its index in a field above
 the top exponent field.  The tag survives the walk: a derivative subtracts
 a unit only from a field that holds it, and B is untagged and the layout
-keeps every product's exponents inside their fields.  The public brackets
-are the one-term case, tag 0; ``_blocks`` splits a batched result into
-per-term dicts and serves every engine caller: closure, ``verify``, the
-invariant rows, ``verify_invariant`` and ``verify_canonical``.
+keeps every product's exponents inside their fields.  One set-up,
+``_series``, takes a list of right operands (seeds) too: it packs the
+left operands once, in a layout wide enough for every seed, and per seed
+packs only the seed and builds its slots and scales before its walk.  The
+invariant rows use every seed at once; the public brackets are the
+one-term, one-seed case, tag 0; ``_blocks`` is the one-seed case split
+into per-term dicts and serves closure, ``verify``, ``verify_invariant``
+and ``verify_canonical``.
 """
 
 from __future__ import annotations
@@ -64,12 +68,12 @@ from .poly import (Expvec, Packed, PhasePoly, _layout, _maxima, _pack, _product_
 
 
 def poisson_bracket(a: PhasePoly, b: PhasePoly) -> PhasePoly:
-    acc, layout, (den,) = _series([a], b, False)
+    acc, layout, (den,) = _series([a], [b], False)[0]
     return _unpack(a.ctx, acc, layout, den)
 
 
 def moyal_bracket(a: PhasePoly, b: PhasePoly) -> PhasePoly:
-    acc, layout, (den,) = _series([a], b, True)
+    acc, layout, (den,) = _series([a], [b], True)[0]
     return _unpack(a.ctx, acc, layout, den)
 
 
@@ -77,38 +81,50 @@ def _blocks(terms: list[PhasePoly], b: PhasePoly,
             moyal: bool) -> list[dict[Expvec, Fraction]]:
     """``bracket(T, b)._terms`` for each ``T`` in ``terms``, in order, from
     one walk."""
-    return _unpack_blocks(*_series(terms, b, moyal))
+    return _unpack_blocks(*_series(terms, [b], moyal)[0])
 
 
-def _series(terms: list[PhasePoly], b: PhasePoly,
-            moyal: bool) -> tuple[dict[int, int], Struct, list[int]]:
-    """Sum over odd k <= top of (-1)^((k-1)/2) (hbar/2)^(k-1) Pi_k(T, B) / k!
-    for every ``T`` in ``terms`` (the Poisson bracket unless ``moyal``): the
-    numerators keyed by packed exponents tagged with the term's index
-    (``poly._pack``), the layout, and each term's denominator."""
-    ctx = b.ctx
-    for t in terms:
-        t.ctx.require_same(ctx)
+def _series(terms: list[PhasePoly], seeds: list[PhasePoly],
+            moyal: bool) -> list[tuple[dict[int, int], Struct, list[int]]]:
+    """Per seed ``B`` in ``seeds``, in order: the sum over odd k <= top of
+    (-1)^((k-1)/2) (hbar/2)^(k-1) Pi_k(T, B) / k! for every ``T`` in
+    ``terms`` (the Poisson bracket unless ``moyal``), as the numerators
+    keyed by packed exponents tagged with the term's index
+    (``poly._pack``), the layout, and each term's denominator.
+
+    ``terms`` are packed once, in one layout wide enough for every seed;
+    per seed only the seed is packed and its slots and scales are built.
+    """
+    if not seeds:
+        return []
+    ctx = seeds[0].ctx
+    for p in (*terms, *seeds[1:]):
+        p.ctx.require_same(ctx)
     dof = ctx.dof
-    top = min(max(t.total_degree() for t in terms), b.total_degree()) if moyal and ctx.hbar else 1
-    max_a, max_b = _maxima(*terms), _maxima(b)
-    layout = _layout([x + y for x, y in zip(max_a, max_b)])
+    quantum = moyal and ctx.hbar
+    degree_a = max(t.total_degree() for t in terms) if quantum else 1
+    max_a, max_bs = _maxima(*terms), [_maxima(b) for b in seeds]
+    layout = _layout([x + max(y) for x, y in zip(max_a, zip(*max_bs))])
     units = _units(layout)
     terms_a, dens = _pack(terms, layout)
-    terms_b, (den_b,) = _pack([b], layout)
     # (A variable, B variable, sign): s_i = d/dq_i (x) d/dp_i, t_i = -d/dp_i (x) d/dq_i
     pairs = [(i, dof + i, False) for i in range(dof)] + [(dof + i, i, True) for i in range(dof)]
-    slots = [(va, vb, neg, units[va], units[vb], min(max_a[va], max_b[vb]))
-             for va, vb, neg in pairs]
-    half = ctx.hbar / 2
-    last = top - 1 + top % 2   # largest odd k <= top
-    # scales[k]: k's factor times half.denominator^(last - 1), 0 for even k
-    scales = [k % 2 and (-1) ** (k // 2) * half.numerator ** (k - 1)
-              * half.denominator ** (last - k) for k in range(max(top, 0) + 1)]
-    acc: dict[int, int] = {}
-    _walk(acc, slots, scales, 0, 0, terms_a, terms_b)
-    common = den_b * half.denominator ** max(last - 1, 0)
-    return acc, layout, [den * common for den in dens]
+    half = ctx.hbar / 2 if quantum else 1   # only its numerator and denominator are read
+    out = []
+    for b, max_b in zip(seeds, max_bs):
+        top = min(degree_a, b.total_degree()) if quantum else 1
+        terms_b, (den_b,) = _pack([b], layout)
+        slots = [(va, vb, neg, units[va], units[vb], min(max_a[va], max_b[vb]))
+                 for va, vb, neg in pairs]
+        last = top - 1 + top % 2   # largest odd k <= top
+        # scales[k]: k's factor times half.denominator^(last - 1), 0 for even k
+        scales = [k % 2 and (-1) ** (k // 2) * half.numerator ** (k - 1)
+                  * half.denominator ** (last - k) for k in range(max(top, 0) + 1)]
+        acc: dict[int, int] = {}
+        _walk(acc, slots, scales, 0, 0, terms_a, terms_b)
+        common = den_b * half.denominator ** max(last - 1, 0)
+        out.append((acc, layout, [den * common for den in dens]))
+    return out
 
 
 def _walk(acc: dict[int, int], slots: list, scales: list[int], slot: int, used: int,

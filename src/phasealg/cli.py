@@ -106,6 +106,9 @@ class Problem:
         options.update(extra)
         if options["bracket"] not in ("poisson", "moyal"):
             raise ValueError("options.bracket must be 'poisson' or 'moyal'")
+        if not isinstance(options["f_of_M"], str):
+            raise ValueError("problem field 'options.f_of_M' must be a string, "
+                             f"got {json.dumps(options['f_of_M'])}")
         self.bracket = options["bracket"]
         self.hbar = _scalar(options["hbar"], "options.hbar", rat, "a rational")
         self.max_basis, self.max_degree, self.center_degree = (

@@ -13,17 +13,21 @@ elements named in ``seed_names``), which generate the closed algebra: by
 the Jacobi identity, whatever commutes with every seed commutes with every
 bracket of seeds, hence with the whole basis, under the Poisson and the
 Moyal bracket alike.  One solver assembles the homogeneous linear system
-over the rationals and returns a canonical basis of its solution space;
-``find_center`` checks its ansatz size against the cap before enumerating
-any monomial.
+over the rationals and returns one solution per free column of its
+echelon form (``linsolve.nullspace``, which can return a vector that
+breaks a row while its ``sparse_rref`` defect stands); ``find_center``
+checks its ansatz size against the cap before enumerating any monomial
+and builds its monomials as canonical terms, without validation.
 
-Both searches take their rows from the bracket kernel itself: one walk per
-seed brackets every ansatz term with it (``brackets._blocks``), under
-either bracket and at any hbar, so no bracket is taken per term.  The one
+Both searches take their rows from the bracket kernel itself: one kernel
+set-up packs the ansatz once for every seed, and one walk per seed
+brackets every ansatz term with it (``brackets._series``), under either
+bracket and at any hbar, so no bracket is taken per term.  The one
 contract left is row order (seed, ansatz term, graded-lex-descending
 monomial): ``_rows`` sorts each of the kernel's unordered blocks, because
 ``nullspace``'s output depends on the order while its ``sparse_rref``
-defect stands.
+defect stands.  Each solution is scaled and summed over its nonzero
+entries only.
 
 ``verify_invariant`` stays an independent check against the full basis.
 An empty nontrivial solution set is a meaningful result: for an
@@ -39,11 +43,11 @@ from itertools import combinations_with_replacement
 from math import comb
 from typing import Sequence
 
-from .brackets import _blocks
+from .brackets import _blocks, _series
 from .closure import LieClosure
 from .errors import AnsatzTooLargeError
 from .linsolve import nullspace, sub_scaled
-from .poly import Expvec, PhasePoly, _grlex_item, _grlex_key
+from .poly import Expvec, PhasePoly, _grlex_item, _grlex_key, _unpack_blocks
 
 
 @dataclass(frozen=True)
@@ -87,18 +91,18 @@ def _rows(terms: Sequence[PhasePoly], closure: LieClosure) -> dict:
     Keyed ``(basis index of s, monomial)``, in order of first appearance:
     seed, then ansatz term, then graded-lex-descending monomial of
     ``bracket(T_u, s)``; each row maps ansatz index ``u`` to its coefficient.
-    Each seed's blocks come from one walk of the bracket kernel over every
-    term (``brackets._blocks``), under either bracket and at any hbar; the
-    blocks are unordered and are sorted here only because ``nullspace``
-    depends on this order.
+    One kernel set-up packs the terms once for every seed, and one walk per
+    seed brackets every term with it (``brackets._series``), under either
+    bracket and at any hbar; the blocks are unordered and are sorted here
+    only because ``nullspace`` depends on this order.
     """
-    seeds = set(closure.seed_names)
-    moyal = closure.bracket_kind == "moyal"
+    names = set(closure.seed_names)
+    seeds = [(k, elem.poly) for k, elem in enumerate(closure.basis)
+             if not elem.is_identity and elem.name in names]
+    series = _series(terms, [poly for _, poly in seeds], closure.bracket_kind == "moyal")
     rows: dict[tuple[int, Expvec], dict[int, Fraction]] = {}
-    for k, elem in enumerate(closure.basis):
-        if elem.is_identity or elem.name not in seeds:
-            continue
-        for u, block in enumerate(_blocks(terms, elem.poly, moyal)):
+    for (k, _), walk in zip(seeds, series):
+        for u, block in enumerate(_unpack_blocks(*walk)):
             # a bracket's monomials are distinct: one entry per (row, term)
             for mono, coeff in sorted(block.items(), key=_grlex_item, reverse=True):
                 rows.setdefault((k, mono), {})[u] = coeff
@@ -112,16 +116,17 @@ def _solve(terms: Sequence[PhasePoly], closure: LieClosure):
     kernel in the one order ``nullspace``'s output depends on while its
     ``sparse_rref`` defect stands; one column per ansatz term.  Returns,
     per nullspace vector, the vector scaled so its first nonzero entry is
-    1, and its polynomial ``sum_u x_u T_u``.
+    1, and its polynomial ``sum_u x_u T_u``.  Only the nonzero entries are
+    scaled and summed: a vector is mostly zeros.
     """
     solutions = []
     for vec in nullspace(list(_rows(terms, closure).values()), len(terms)):
-        lead = next(v for v in vec if v)
-        vec = [v / lead for v in vec]
+        support = [u for u, v in enumerate(vec) if v]
+        lead = vec[support[0]]
         acc: dict[Expvec, Fraction] = {}
-        for v, term in zip(vec, terms):
-            if v:
-                sub_scaled(acc, term._terms, -v)
+        for u in support:
+            vec[u] /= lead
+            sub_scaled(acc, terms[u]._terms, -vec[u])
         solutions.append((vec, PhasePoly._build(closure.ctx, acc)))
     return solutions
 
@@ -188,10 +193,10 @@ def find_center(
     count = comb(closure.ctx.nvars + max_total_degree, max_total_degree)
     if count > max_monomials:
         raise AnsatzTooLargeError(f"ansatz needs {count} monomials, cap is {max_monomials}")
-    terms = [
-        PhasePoly.monomial(closure.ctx, m)
-        for m in monomials_up_to_degree(closure.ctx, max_total_degree)
-    ]
+    one = Fraction(1)
+    # enumerated exponent tuples are canonical terms already
+    terms = [PhasePoly._build(closure.ctx, {m: one})
+             for m in monomials_up_to_degree(closure.ctx, max_total_degree)]
     sols = tuple(poly for _, poly in _solve(terms, closure))
     return CenterSolution(solutions=sols, degree=max_total_degree)
 

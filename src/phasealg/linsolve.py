@@ -1,8 +1,16 @@
-"""Exact linear algebra over rationals: one sparse echelon engine.
+"""Exact linear algebra over rationals: sparse echelon forms.
 
 Rows are sparse ``{column: Fraction}`` maps.  ``Echelon`` (closure, span
-reduction, ``invert``) and ``sparse_rref`` (``nullspace``) are deterministic:
-identical inputs give identical reduced forms and nullspace bases.
+reduction, ``invert``) keeps its rows fully reduced.  ``sparse_rref``
+(``nullspace``) does not: it reduces a new row only until its smallest
+column is not a pivot, so a stored row can keep another pivot column and
+``nullspace`` can return a vector that breaks a row (the strict xfail
+``tests/test_linsolve.py::test_nullspace_vectors_solve_every_row``; the fix
+changes a pinned benchmark answer).  ``sparse_rref`` keeps a column index,
+each column mapped to the pivots whose rows hold it, so a new pivot is
+back-substituted only into those rows; ``nullspace`` reads every free
+vector in one pass over the pivot rows.  Both engines are deterministic:
+identical inputs give identical outputs.
 
 ``Echelon.reduce`` is one integer linear combination of the stored rows, and
 both it and ``sub_scaled`` build a ``Fraction`` only per output entry, so
@@ -148,12 +156,22 @@ class Echelon:
 
 
 def sparse_rref(rows) -> dict[int, dict[int, Fraction]]:
-    """Fully reduced row-echelon form, returned as ``pivot_col -> row``.
+    """Row-echelon form, returned as ``pivot_col -> row`` in order of pivot.
 
-    Every returned row has coefficient 1 at its pivot column and zeros at all
-    other pivot columns.
+    Every returned row has coefficient 1 at its pivot column, and a new
+    pivot is back-substituted into every stored row, so no row holds a
+    pivot made after it.  But a new row is reduced only until its smallest
+    column is not a pivot, so it can keep an earlier pivot column: the
+    form is not fully reduced, and ``nullspace``
+    can return a vector that breaks a row (the strict xfail
+    ``tests/test_linsolve.py::test_nullspace_vectors_solve_every_row``).
+
+    A column index maps each column to the pivots whose rows hold it, so a
+    new pivot visits only those rows; it is kept exact where
+    ``sub_scaled`` adds or cancels an entry.
     """
     pivots: dict[int, dict[int, Fraction]] = {}
+    holders: dict[int, set[int]] = {}
     for raw in rows:
         row = {c: v for c, v in raw.items() if v != 0}
         while row:
@@ -166,32 +184,39 @@ def sparse_rref(rows) -> dict[int, dict[int, Fraction]]:
         col = min(row)
         inv = Fraction(1) / row[col]
         row = {c: v * inv for c, v in row.items()}
-        for prow in pivots.values():
-            if col in prow:
-                sub_scaled(prow, row, prow.pop(col), col)
+        for pcol in holders.pop(col, ()):
+            prow = pivots[pcol]
+            sub_scaled(prow, row, prow.pop(col), col)
+            for c in row:
+                if c in prow:
+                    holders.setdefault(c, set()).add(pcol)
+                elif c != col:
+                    holders[c].discard(pcol)
+        for c in row:
+            holders.setdefault(c, set()).add(col)
         pivots[col] = row
     return pivots
 
 
 def nullspace(rows, ncols: int) -> list[list[Fraction]]:
-    """Canonical basis of the solution space of the homogeneous system.
+    """One solution vector per free column of ``sparse_rref(rows)``.
 
-    One vector per free column, carrying 1 there; ordered by free column
-    index, which makes the result reproducible.
+    The vector for free column ``f`` carries 1 at ``f`` and minus each
+    pivot row's entry at ``f`` at that row's pivot; vectors are ordered by
+    free column index, which makes the result reproducible.  It is a basis
+    of the solution space only when the rows are fully reduced, which
+    ``sparse_rref`` does not guarantee (see there).  One pass over the
+    pivot rows' entries fills every vector.
     """
     pivots = sparse_rref(rows)
-    basis: list[list[Fraction]] = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
+    basis = {free: [Fraction(0)] * ncols for free in range(ncols) if free not in pivots}
+    for free, vec in basis.items():
         vec[free] = Fraction(1)
-        for pcol, prow in pivots.items():
-            coeff = prow.get(free)
-            if coeff:
-                vec[pcol] = -coeff
-        basis.append(vec)
-    return basis
+    for pcol, prow in pivots.items():
+        for c, v in prow.items():
+            if (vec := basis.get(c)) is not None:
+                vec[pcol] = -v
+    return list(basis.values())
 
 
 def invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:

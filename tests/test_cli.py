@@ -136,6 +136,8 @@ BAD_FIELD_TYPES = {
     "max-basis-float": ({"options": {"max_basis": 2.9}}, "options.max_basis"),
     "max-basis-negative": ({"options": {"max_basis": -1}}, "options.max_basis"),
     "center-degree-negative": ({"options": {"center_degree": -1}}, "options.center_degree"),
+    "f-of-m-list": ({"options": {"f_of_M": [1, 2]}}, "options.f_of_M"),
+    "f-of-m-integer": ({"options": {"f_of_M": 3}}, "options.f_of_M"),
 }
 
 

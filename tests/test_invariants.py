@@ -24,7 +24,7 @@ from phasealg import (
 )
 from phasealg import brackets, invariants
 from phasealg.linsolve import nullspace
-from phasealg.poly import _grlex_key
+from phasealg.poly import _grlex_item, _grlex_key, _layout, _maxima
 
 
 def angular_momentum_square(ctx):
@@ -185,12 +185,12 @@ def _all_basis_solve(terms, closure):
     return out
 
 
-def _closure_of(dof, *exprs, bracket="poisson"):
-    ctx = PhaseContext(dof)
+def _closure_of(dof, *exprs, bracket="poisson", hbar=1, max_degree=16):
+    ctx = PhaseContext(dof, hbar=hbar, max_degree=max_degree)
     seeds = [
         AlgebraElement(f"s{i}", parse_expression(e, ctx)) for i, e in enumerate(exprs)
     ]
-    return close_algebra(seeds, bracket_kind=bracket)
+    return close_algebra(seeds, bracket_kind=bracket, max_degree=max_degree)
 
 
 REFERENCE_CLOSURES = {
@@ -202,6 +202,7 @@ REFERENCE_CLOSURES = {
     "sp4": lambda: _closure_of(2, "q1^2 + q2^2", "p1^2 + 3*p2^2", "q1*p2"),
     "constant-and-dependent-seeds": lambda: _closure_of(2, "q1*p1", "3", "2*q1*p1", "q2^2"),
     "seed-shifted-by-constant": lambda: _closure_of(1, "q1", "q1 + 1", "p1"),
+    "constant-seed-only": lambda: _closure_of(1, "3"),
 }
 
 
@@ -329,3 +330,75 @@ def test_rows_match_bracket_rows(name, monkeypatch):
         assert list(rows) == list(expected)
         assert [list(r.items()) for r in rows.values()] == [
             list(r.items()) for r in expected.values()]
+
+
+def _seed_block_rows(terms, closure):
+    """Reference rows: one ``brackets._blocks`` walk per seed, each in the
+    layout of that seed alone, each block sorted as ``_rows`` sorts it."""
+    seeds = set(closure.seed_names)
+    moyal = closure.bracket_kind == "moyal"
+    rows = {}
+    for k, elem in enumerate(closure.basis):
+        if elem.is_identity or elem.name not in seeds:
+            continue
+        for u, block in enumerate(brackets._blocks(terms, elem.poly, moyal)):
+            for mono, coeff in sorted(block.items(), key=_grlex_item, reverse=True):
+                rows.setdefault((k, mono), {})[u] = coeff
+    return rows
+
+
+HALF3 = Fraction(3, 2)
+# q2^300 needs 2-byte packed fields under any ansatz, while q1*p1 and q1^2
+# fit 1-byte fields; the closure is {q1*p1, q1^2, q2^300}.
+MIXED_WIDTH = ("q1*p1", "q2^300", "q1^2")
+SHARED_LAYOUT_CASES = {
+    "mixed-width-poisson": lambda: _closure_of(2, *MIXED_WIDTH, max_degree=400),
+    "mixed-width-moyal": lambda: _closure_of(
+        2, *MIXED_WIDTH, bracket="moyal", hbar=HALF3, max_degree=400),
+    "cubic-moyal": lambda: _closure_of(1, "q1^3 + 2*q1*p1", "p1", bracket="moyal", hbar=HALF3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_LAYOUT_CASES))
+def test_shared_layout_rows_match_per_seed_blocks(name):
+    """One layout for every seed gives the rows that a walk per seed in its
+    own layout gives, key for key, value for value and in insertion order,
+    also where the seeds' own layouts differ in field width."""
+    cl = SHARED_LAYOUT_CASES[name]()
+    seeds = [e.poly for e in cl.basis if not e.is_identity and e.name in cl.seed_names]
+    for degree in (1, 2, 3):
+        terms = [PhasePoly.monomial(cl.ctx, m) for m in monomials_up_to_degree(cl.ctx, degree)]
+        if name.startswith("mixed-width"):
+            widths = {_layout([x + y for x, y in zip(_maxima(*terms), _maxima(s))]).size
+                      for s in seeds}
+            assert len(widths) == 2
+        rows, expected = invariants._rows(terms, cl), _seed_block_rows(terms, cl)
+        assert list(rows) == list(expected)
+        assert [list(r.items()) for r in rows.values()] == [
+            list(r.items()) for r in expected.values()]
+
+
+@pytest.mark.parametrize("search", ["center", "casimir"])
+def test_search_packs_its_ansatz_once(search, monkeypatch):
+    """One search packs its ansatz once and each seed once, not the
+    ansatz once per seed: the kernel's ``_pack`` sees the ansatz in one
+    call, then one seed per call."""
+    cl = cm_closure(total_mass=3, x0=Fraction(1, 2))
+    nseeds = sum(1 for e in cl.basis if not e.is_identity and e.name in cl.seed_names)
+    assert nseeds == 4
+    packed = []
+    real = brackets._pack
+
+    def spy(polys, layout):
+        packed.append(len(polys))
+        return real(polys, layout)
+
+    monkeypatch.setattr(brackets, "_pack", spy)
+    if search == "center":
+        find_center(cl, max_total_degree=3)
+        size = comb(cl.ctx.nvars + 3, 3)
+    else:
+        find_casimir(cl)
+        n = sum(1 for e in cl.basis if not e.is_identity)
+        size = n * (n + 1) // 2 + n + 1
+    assert packed == [size] + [1] * nseeds

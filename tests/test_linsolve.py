@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phasealg.closure import _leading
-from phasealg.linsolve import Echelon, invert, nullspace, sub_scaled
+from phasealg.linsolve import Echelon, invert, nullspace, sparse_rref, sub_scaled
 
 
 @pytest.mark.xfail(
@@ -20,6 +22,78 @@ def test_nullspace_vectors_solve_every_row():
     for vec in basis:
         for row in rows:
             assert sum(v * vec[c] for c, v in row.items()) == 0
+
+
+def _scan_sparse_rref(rows):
+    """``sparse_rref`` before its column index: a new pivot scans every
+    stored row for its column."""
+    pivots = {}
+    for raw in rows:
+        row = {c: v for c, v in raw.items() if v != 0}
+        while row:
+            col = min(row)
+            if col not in pivots:
+                break
+            sub_scaled(row, pivots[col], row.pop(col), col)
+        if not row:
+            continue
+        col = min(row)
+        inv = Fraction(1) / row[col]
+        row = {c: v * inv for c, v in row.items()}
+        for prow in pivots.values():
+            if col in prow:
+                sub_scaled(prow, row, prow.pop(col), col)
+        pivots[col] = row
+    return pivots
+
+
+def _scan_nullspace(rows, ncols):
+    """``nullspace`` before its one pass: every pivot row is read for every
+    free column."""
+    pivots = _scan_sparse_rref(rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for pcol, prow in pivots.items():
+            coeff = prow.get(free)
+            if coeff:
+                vec[pcol] = -coeff
+        basis.append(vec)
+    return basis
+
+
+@st.composite
+def sparse_systems(draw):
+    """Rows of 1-3 entries (zeros among them) over up to 60 columns, with
+    copies of earlier rows and zero rows inserted."""
+    ncols = draw(st.integers(1, 60))
+    entries = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    row = st.dictionaries(st.integers(0, ncols - 1), entries, min_size=1, max_size=3)
+    rows = draw(st.lists(row, max_size=40))
+    for pos, copy, col in draw(st.lists(
+            st.tuples(st.integers(0, 40), st.booleans(), st.integers(0, ncols - 1)), max_size=8)):
+        extra = dict(rows[pos % len(rows)]) if copy and rows else {col: Fraction(0)}
+        rows.insert(pos % (len(rows) + 1), extra)
+    return rows, ncols
+
+
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(sparse_systems())
+@example(([{1: Fraction(1), 3: Fraction(2)}, {0: Fraction(1), 1: Fraction(1)}], 4))
+@example(([{}, {2: Fraction(0)}, {0: Fraction(1)}, {0: Fraction(1)}], 3))
+def test_indexed_elimination_equals_full_scan(system):
+    """The column index and the one-pass read change no output: the pivot
+    dicts agree in key order and values, inner rows included, and so do
+    the vector lists (the defect they share is left in place)."""
+    rows, ncols = system
+    got, want = sparse_rref(rows), _scan_sparse_rref(rows)
+    assert [(c, list(r.items())) for c, r in got.items()] == [
+        (c, list(r.items())) for c, r in want.items()]
+    assert nullspace(rows, ncols) == _scan_nullspace(rows, ncols)
 
 
 def _identity(n):
