@@ -365,14 +365,10 @@ def cmd_spectrum_internal(args) -> int:
 
 def cmd_spectrum_composite(args) -> int:
     if args.mode == "right":
+        _refuse_unread(args, ["count", "side", "nmax", "mass"], "--mode right")
         if args.f is None:
-            _refuse_unread(args, ["count", "side", "nmax"], "--mode right")
-        else:
-            _refuse_unread(args, ["count", "side", "nmax", "mass"], "--mode right with --f")
-        offset = args.f if args.f is not None else args.mass
-        if offset is None:
-            raise ValueError("composite right mode needs --f or --mass")
-        rep = composite_spectrum(args.internal, float(offset), "composite-right")
+            raise ValueError("composite right mode needs --f")
+        rep = composite_spectrum(args.internal, args.f, "composite-right")
     else:
         _refuse_unread(args, ["f"], "--mode spurious")
         if args.mass is None or args.side is None:

@@ -49,6 +49,9 @@ from .errors import AnsatzTooLargeError
 from .linsolve import nullspace, sub_scaled
 from .poly import Expvec, PhasePoly, _grlex_item, _grlex_key, _unpack_blocks
 
+# The most monomials a ``find_center`` ansatz may have.
+MAX_ANSATZ_MONOMIALS = 5000
+
 
 @dataclass(frozen=True)
 class CasimirSolution:
@@ -179,20 +182,18 @@ def monomials_up_to_degree(ctx, degree: int) -> list[Expvec]:
     return out
 
 
-def find_center(
-    closure: LieClosure, max_total_degree: int = 2, max_monomials: int = 5000
-) -> CenterSolution:
+def find_center(closure: LieClosure, max_total_degree: int = 2) -> CenterSolution:
     """Exact basis of bounded-degree polynomials commuting with the algebra.
 
     The constant polynomial always appears; anything beyond it is a
     candidate invariant Hamiltonian.  The ansatz size is checked against
-    ``max_monomials`` before any monomial is built.
+    ``MAX_ANSATZ_MONOMIALS`` before any monomial is built.
     """
     if max_total_degree < 0:
         raise ValueError("max_total_degree must be >= 0")
     count = comb(closure.ctx.nvars + max_total_degree, max_total_degree)
-    if count > max_monomials:
-        raise AnsatzTooLargeError(f"ansatz needs {count} monomials, cap is {max_monomials}")
+    if count > MAX_ANSATZ_MONOMIALS:
+        raise AnsatzTooLargeError(f"ansatz needs {count} monomials, cap is {MAX_ANSATZ_MONOMIALS}")
     one = Fraction(1)
     # enumerated exponent tuples are canonical terms already
     terms = [PhasePoly._build(closure.ctx, {m: one})

@@ -11,15 +11,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-def rat(value: int | str | Fraction, den: int | None = None) -> Fraction:
-    """Coerce ``value`` to an exact Fraction.
+def rat(value: int | str | Fraction) -> Fraction:
+    """Coerce ``value`` to an exact Fraction; a Fraction is returned as is.
 
     Accepts ints, Fractions and strings like ``"3"``, ``"-3/4"``.  Floats are
     rejected on purpose: a float has already lost exactness and silently
     accepting one would poison downstream Gaussian elimination.
     """
-    if den is not None:
-        return Fraction(value, den)  # type: ignore[arg-type]
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):

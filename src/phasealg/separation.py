@@ -5,7 +5,8 @@ componentwise on an N-body system: new positions are ``A @ old positions``
 and new momenta are ``B @ old momenta``, with ``B = (A^T)^-1`` so that all
 canonical brackets are preserved.  Two constructions are provided: the
 two-body relative/CM split and the mass-weighted Jacobi chain, both with the
-total-CM row last.
+total-CM row last.  Both give ``A`` to one builder, which computes ``B``
+exactly with ``linsolve.invert``.
 
 ``separate_hamiltonian`` rewrites a Hamiltonian in the new variables and
 splits it into a part involving only the CM pair and a part involving only
@@ -32,6 +33,13 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 
 def _transpose(matrix: Matrix) -> Matrix:
     return tuple(zip(*matrix))
+
+
+def _unit(ctx: PhaseContext, index: int, power: int = 1) -> tuple[int, ...]:
+    """The exponent vector of ``x_index ** power``."""
+    exps = [0] * ctx.nvars
+    exps[index] = power
+    return tuple(exps)
 
 
 def _check_masses(masses: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -74,8 +82,8 @@ class CanonicalMap:
     def total_mass(self) -> Fraction:
         return sum(self.masses, Fraction(0))
 
-    def old_context(self, params=None, hbar=1) -> PhaseContext:
-        return PhaseContext(self.n_bodies * self.d, params=params, hbar=hbar)
+    def old_context(self, hbar=1) -> PhaseContext:
+        return PhaseContext(self.n_bodies * self.d, hbar=hbar)
 
     def label(self, index: int) -> str:
         """Name of new variable ``index = offset + row*d + c``, positions first."""
@@ -93,11 +101,8 @@ class CanonicalMap:
         images: dict[int, PhasePoly] = {}
         for row, coeffs in enumerate(matrix):
             for c in range(d):
-                p = PhasePoly.zero(ctx)
-                for i, coeff in enumerate(coeffs):
-                    if coeff:
-                        p = p + PhasePoly.variable(ctx, offset + i * d + c) * coeff
-                images[offset + row * d + c] = p
+                terms = {_unit(ctx, offset + i * d + c): k for i, k in enumerate(coeffs) if k}
+                images[offset + row * d + c] = PhasePoly._build(ctx, terms)
         return images
 
     def new_variable_images(self, old_ctx: PhaseContext) -> dict[int, PhasePoly]:
@@ -123,26 +128,33 @@ class CanonicalMap:
         }
 
 
+def _canonical_map(a: Matrix, masses: tuple[Fraction, ...], d: int,
+                   position_labels: tuple[str, ...],
+                   momentum_labels: tuple[str, ...]) -> CanonicalMap:
+    """The map with new positions ``a @ old positions``; the momenta's
+    ``b = (a^T)^-1`` comes from ``linsolve.invert``, exactly."""
+    return CanonicalMap(
+        d=d,
+        n_bodies=len(masses),
+        a=a,
+        b=tuple(tuple(row) for row in invert(_transpose(a))),
+        masses=masses,
+        position_labels=position_labels,
+        momentum_labels=momentum_labels,
+    )
+
+
 def two_body_transform(m1, m2, d: int = 3) -> CanonicalMap:
     """Relative/CM split: r = r1 - r2 first row, R = (m1 r1 + m2 r2)/M last.
 
-    Conjugate momenta follow from the exact inverse transpose:
-    p = (m2 p1 - m1 p2)/M and P = p1 + p2.
+    ``invert`` computes the conjugate momenta as the exact inverse
+    transpose: p = (m2 p1 - m1 p2)/M and P = p1 + p2.
     """
     masses = _check_masses((m1, m2))
     m1, m2 = masses
     total = m1 + m2
     a = ((Fraction(1), Fraction(-1)), (m1 / total, m2 / total))
-    b = ((m2 / total, -m1 / total), (Fraction(1), Fraction(1)))
-    return CanonicalMap(
-        d=d,
-        n_bodies=2,
-        a=a,
-        b=b,
-        masses=masses,
-        position_labels=("r", "R"),
-        momentum_labels=("p", "P"),
-    )
+    return _canonical_map(a, masses, d, ("r", "R"), ("p", "P"))
 
 
 def jacobi_transform(masses: Sequence, d: int = 3) -> CanonicalMap:
@@ -164,17 +176,9 @@ def jacobi_transform(masses: Sequence, d: int = 3) -> CanonicalMap:
         row.extend(Fraction(0) for _ in range(n - k - 1))
         rows.append(tuple(row))
     rows.append(tuple(m / total for m in ms))
-    a = tuple(rows)
-    b = tuple(tuple(row) for row in invert(_transpose(a)))
-    return CanonicalMap(
-        d=d,
-        n_bodies=n,
-        a=a,
-        b=b,
-        masses=ms,
-        position_labels=tuple(f"r{k}" for k in range(1, n)) + ("R",),
-        momentum_labels=tuple(f"p{k}" for k in range(1, n)) + ("P",),
-    )
+    return _canonical_map(tuple(rows), ms, d,
+                          tuple(f"r{k}" for k in range(1, n)) + ("R",),
+                          tuple(f"p{k}" for k in range(1, n)) + ("P",))
 
 
 def kinetic_energy(ctx: PhaseContext, masses: Mapping[int, Fraction], d: int) -> PhasePoly:
@@ -182,12 +186,9 @@ def kinetic_energy(ctx: PhaseContext, masses: Mapping[int, Fraction], d: int) ->
 
     Row ``r`` owns the momenta ``p_(r*d + 1) .. p_(r*d + d)``.
     """
-    h = PhasePoly.zero(ctx)
-    for row, m in masses.items():
-        for c in range(d):
-            pvar = PhasePoly.variable(ctx, ctx.dof + row * d + c)
-            h = h + pvar * pvar / (2 * m)
-    return h
+    terms = {_unit(ctx, ctx.dof + row * d + c, 2): 1 / (2 * rat(m))
+             for row, m in masses.items() for c in range(d)}
+    return PhasePoly._build(ctx, terms)
 
 
 @dataclass(frozen=True)
@@ -249,23 +250,17 @@ def separate_hamiltonian(h: PhasePoly, cmap: CanonicalMap):
     the two blocks mean the interaction is not translation invariant and
     abort the split.
     """
-    old_ctx = h.ctx
-    if old_ctx.dof != cmap.n_bodies * cmap.d:
+    ctx = h.ctx
+    if ctx.dof != cmap.n_bodies * cmap.d:
         raise ValueError(
-            f"Hamiltonian has {old_ctx.dof} canonical pairs, "
+            f"Hamiltonian has {ctx.dof} canonical pairs, "
             f"map needs {cmap.n_bodies * cmap.d}"
         )
-    new_ctx = PhaseContext(
-        old_ctx.dof,
-        params=dict(old_ctx.params),
-        hbar=old_ctx.hbar,
-        max_degree=old_ctx.max_degree,
-    )
-    transformed = h.substitute(cmap.old_variable_images(new_ctx), new_ctx)
+    transformed = h.substitute(cmap.old_variable_images(ctx), ctx)
 
-    dof = new_ctx.dof
+    dof = ctx.dof
     cm_first = cmap.cm_row * cmap.d
-    is_cm = [cm_first <= i % dof < cm_first + cmap.d for i in range(new_ctx.nvars)]
+    is_cm = [cm_first <= i % dof < cm_first + cmap.d for i in range(ctx.nvars)]
     cm_terms: dict = {}
     int_terms: dict = {}
     mixed = []
@@ -279,11 +274,11 @@ def separate_hamiltonian(h: PhasePoly, cmap: CanonicalMap):
             mixed.append(_labeled_term(exps, coeff, cmap))
     if mixed:
         raise SeparationFailure(mixed)
-    h_cm = PhasePoly._build(new_ctx, cm_terms)
-    h_int = PhasePoly._build(new_ctx, int_terms)
+    h_cm = PhasePoly._build(ctx, cm_terms)
+    h_int = PhasePoly._build(ctx, int_terms)
 
     total = cmap.total_mass
-    free = kinetic_energy(new_ctx, {cmap.cm_row: total}, cmap.d)
+    free = kinetic_energy(ctx, {cmap.cm_row: total}, cmap.d)
     reduced = None
     rel_ok = None
     if cmap.n_bodies == 2:
@@ -291,11 +286,9 @@ def separate_hamiltonian(h: PhasePoly, cmap: CanonicalMap):
         reduced = m1 * m2 / total
         # terms in the momenta alone, constants excluded
         kinetic_part = {e: c for e, c in int_terms.items() if any(e) and not any(e[:dof])}
-        rel_ok = PhasePoly._build(new_ctx, kinetic_part) == kinetic_energy(
-            new_ctx, {0: reduced}, cmap.d
-        )
+        rel_ok = PhasePoly._build(ctx, kinetic_part) == kinetic_energy(ctx, {0: reduced}, cmap.d)
 
-    reassembled = (h_cm + h_int).substitute(cmap.new_variable_images(old_ctx), old_ctx)
+    reassembled = (h_cm + h_int).substitute(cmap.new_variable_images(ctx), ctx)
 
     report = SeparationReport(
         cm_is_free_kinetic=(h_cm == free),

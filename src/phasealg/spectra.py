@@ -234,12 +234,12 @@ def box_spectrum(mass: float, length: float, n_max: int) -> SpectrumReport:
     )
 
 
-def fd_eigen_1d(spec: PotentialSpec, count: int, return_vectors: bool = False):
-    """Lowest ``count`` Dirichlet eigenvalues of -(1/2m) d2/dx2 + V.
+def fd_eigen_1d(spec: PotentialSpec, count: int) -> np.ndarray:
+    """Lowest ``count`` Dirichlet eigenvalues of -(1/2m) d2/dx2 + V, ascending.
 
     Symmetric tridiagonal matrix over the grid interior, solved by Sturm
-    bisection (LAPACK stebz) to absolute tolerance 1e-10; eigenvectors, when
-    requested, come from inverse iteration.
+    bisection (LAPACK stebz) to absolute tolerance 1e-10; only the energies
+    are computed, no eigenvectors.
     """
     interior = spec.grid - 2
     if not 1 <= count <= interior:
@@ -252,19 +252,15 @@ def fd_eigen_1d(spec: PotentialSpec, count: int, return_vectors: bool = False):
     inv = 1.0 / (spec.mass * h * h)
     diag = inv + v
     off = np.full(interior - 1, -0.5 * inv)
-    result = eigh_tridiagonal(
+    return np.asarray(eigh_tridiagonal(
         diag,
         off,
-        eigvals_only=not return_vectors,
+        eigvals_only=True,
         select="i",
         select_range=(0, count - 1),
         lapack_driver="stebz",
         tol=1e-10,
-    )
-    if return_vectors:
-        energies, vectors = result
-        return np.asarray(energies), vectors
-    return np.asarray(result)
+    ))
 
 
 def internal_spectrum(spec: PotentialSpec, count: int) -> SpectrumReport:

@@ -269,13 +269,14 @@ def test_spectrum_composite_right_offset_flag(capsys):
     assert len(report["levels"]) == 2
 
 
-def test_spectrum_composite_right_defaults_to_mass(capsys):
-    code, report = run_json(
-        capsys,
-        ["spectrum", "composite", "--mode", "right", "--internal", "1,2", "--mass", "5"],
-    )
-    assert code == 0
-    assert report["offset"] == 5.0
+def test_spectrum_composite_right_refuses_mass(capsys):
+    """Right mode takes its offset from --f only: --mass is refused, not
+    read as the offset."""
+    code = main(["spectrum", "composite", "--mode", "right", "--internal", "1,2", "--mass", "5"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "--mass" in err
+    assert out == ""
 
 
 def test_spectrum_composite_right_needs_offset(capsys):

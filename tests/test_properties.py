@@ -134,6 +134,45 @@ def test_moyal_equals_poisson_at_degree_two(pair):
     assert moyal_bracket(other, low) == poisson_bracket(other, low)
 
 
+@pytest.mark.parametrize("hbar", [1, Fraction(3, 2)], ids=["hbar-1", "hbar-3/2"])
+@settings(PROPERTY, max_examples=20)
+@given(st.data())
+def test_moyal_matches_bidifferential_series(hbar, data):
+    """The Moyal bracket equals the series sum over odd k of
+    (-1)^((k-1)/2) (hbar/2)^(k-1) / k! Pi^k, with
+    Pi = sum_i (d_qi^A d_pi^B - d_pi^A d_qi^B) applied k times to A(x) B(y)
+    in sympy and y then set to x.  Degree <= 4 stops the series at k = 3."""
+    ctx = PhaseContext(data.draw(st.sampled_from([1, 2])), hbar=hbar)
+    a, b = data.draw(st.tuples(*[low_degree_polys(ctx, 4)] * 2))
+    (ea, xs), (eb, _) = to_sympy(a), to_sympy(b)
+    ys = sympy.symbols([f"y{i}" for i in range(ctx.nvars)])
+    d = ctx.dof
+    term = ea * eb.subs(dict(zip(xs, ys)), simultaneous=True)
+    want = sympy.Integer(0)
+    half = sympy.Rational(ctx.hbar.numerator, 2 * ctx.hbar.denominator)
+    for k in range(1, 4):
+        term = sum(
+            (sympy.diff(term, xs[i], ys[d + i]) - sympy.diff(term, xs[d + i], ys[i])
+             for i in range(d)),
+            sympy.Integer(0),
+        )
+        if k % 2:
+            want += (-1) ** ((k - 1) // 2) * half ** (k - 1) / sympy.factorial(k) * term
+    assert same(moyal_bracket(a, b), want.subs(dict(zip(ys, xs)), simultaneous=True))
+
+
+@pytest.mark.parametrize("hbar", [1, Fraction(3, 2), Fraction(2, 7)],
+                         ids=["hbar-1", "hbar-3/2", "hbar-2/7"])
+def test_moyal_groenewold_reference_values(hbar):
+    """{q^3, p^3}_M = 9 q^2 p^2 - (3/2) hbar^2 and
+    {q^4, p^4}_M = 16 q^3 p^3 - 24 hbar^2 q p (Groenewold 1946)."""
+    ctx = PhaseContext(1, hbar=hbar)
+    q, p = PhasePoly.variable(ctx, "q1"), PhasePoly.variable(ctx, "p1")
+    h2 = Fraction(hbar) ** 2
+    assert moyal_bracket(q**3, p**3) == 9 * q**2 * p**2 - Fraction(3, 2) * h2
+    assert moyal_bracket(q**4, p**4) == 16 * q**3 * p**3 - 24 * h2 * q * p
+
+
 MASSES = st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=6)
 CANONICAL_MAPS = st.one_of(
     st.builds(two_body_transform, MASSES, MASSES, d=st.integers(1, 2)),

@@ -167,17 +167,6 @@ def test_fd_rejects_bad_count_and_values():
         fd_eigen_1d(broken, 1)
 
 
-def test_fd_eigenvectors_node_counts():
-    spec = box_potential(length=1.0, mass=1.0, grid=600)
-    energies, vectors = fd_eigen_1d(spec, 2, return_vectors=True)
-    assert energies[0] < energies[1]
-    for k in range(2):
-        vec = vectors[:, k]
-        signs = np.sign(vec[np.abs(vec) > 1e-8])
-        flips = int(np.count_nonzero(signs[1:] != signs[:-1]))
-        assert flips == k
-
-
 def test_fd_spectrum_strictly_increasing():
     spec = harmonic_potential(omega=2.0, grid=1500)
     energies = fd_eigen_1d(spec, 6)
