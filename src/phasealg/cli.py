@@ -142,7 +142,7 @@ class Problem:
         return {
             "source": self.origin,
             "dof": self.dof,
-            "params": {k: str(v) for k, v in self.params.items()},
+            "params": self.params,
             "generators": dict(self.generators),
             "options": {k: str(v) for k, v in self.options.items()},
             "overrides": list(overrides),
@@ -174,18 +174,15 @@ def load_problem(spec_arg: str) -> Problem:
     return Problem(raw, origin=spec_arg)
 
 
-def _jsonable(value):
+def _fraction_text(value):
+    """``json.dumps`` hook: a ``Fraction`` is written as its string."""
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+    text = json.dumps(report, indent=2, allow_nan=False, default=_fraction_text) + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -206,7 +203,7 @@ def _closure_payload(closure) -> dict:
             for e in closure.basis
         ],
         "structure_constants": [
-            [names[i], names[j], names[k], str(c)]
+            [names[i], names[j], names[k], c]
             for i, j, k, c in structure_constants(closure)
         ],
     }
@@ -263,13 +260,13 @@ def _invariant_entries(args, problem, closure, report: dict) -> None:
             entries.append(
                 {
                     "quadratic": {
-                        f"{gnames[i]}*{gnames[j]}": str(v)
+                        f"{gnames[i]}*{gnames[j]}": v
                         for (i, j), v in sorted(sol.quadratic.items())
                     },
                     "linear": {
-                        gnames[i]: str(v) for i, v in sorted(sol.linear.items())
+                        gnames[i]: v for i, v in sorted(sol.linear.items())
                     },
-                    "constant": str(sol.constant),
+                    "constant": sol.constant,
                     "realization": format_poly(sol.realization),
                     "trivial": sol.trivial,
                     "verified": verify_invariant(sol.realization, closure).passed,
@@ -306,7 +303,7 @@ def _spectrum_report(rep, command: str) -> dict:
         "command": command,
         "mode": rep.mode,
         "levels": [vars(lv) for lv in rep.levels],
-        "metadata": _jsonable(rep.metadata),
+        "metadata": rep.metadata,
         "exit_code": 0,
     }
     if rep.offset is not None:
@@ -393,7 +390,7 @@ def cmd_separate(args) -> int:
         kind = "jacobi"
     canon = verify_canonical(cmap)
     ctx = cmap.old_context()
-    if args.expr:
+    if args.expr is not None:
         h = parse_expression(args.expr, ctx)
     else:
         h = kinetic_energy(ctx, dict(enumerate(masses)), args.dim)
@@ -401,11 +398,11 @@ def cmd_separate(args) -> int:
         "command": "separate",
         "kind": kind,
         "dim": args.dim,
-        "masses": [str(m) for m in masses],
+        "masses": masses,
         "position_labels": list(cmap.position_labels),
         "momentum_labels": list(cmap.momentum_labels),
-        "position_matrix": _jsonable(cmap.a),
-        "momentum_matrix": _jsonable(cmap.b),
+        "position_matrix": cmap.a,
+        "momentum_matrix": cmap.b,
         "canonical": {
             "passed": canon.passed,
             "violations": [
@@ -435,8 +432,8 @@ def cmd_separate(args) -> int:
             "cm_is_free_kinetic": sep.cm_is_free_kinetic,
             "relative_kinetic_ok": sep.relative_kinetic_ok,
             "reassembly_ok": sep.reassembly_ok,
-            "total_mass": str(sep.total_mass),
-            "reduced_mass": None if sep.reduced_mass is None else str(sep.reduced_mass),
+            "total_mass": sep.total_mass,
+            "reduced_mass": sep.reduced_mass,
         },
         diagnostics=[],
         exit_code=0,

@@ -27,7 +27,7 @@ from typing import Sequence
 from .brackets import _blocks
 from .context import PhaseContext
 from .errors import EmptySeedError, NonClosingError
-from .linsolve import Echelon
+from .linsolve import Echelon, sub_scaled
 from .poly import Expvec, PhasePoly, _grlex_key
 
 
@@ -107,6 +107,8 @@ class LieClosure:
 
         For every i < j < k and every l,
         sum_m c[i][j][m] c[m][k][l] + c[j][k][m] c[m][i][l] + c[k][i][m] c[m][j][l] = 0.
+        The sum over l is one sparse row, each row ``c[m][z]`` scaled by
+        ``c[x][y][m]`` and added by ``linsolve.sub_scaled``, which drops zeros.
         """
         table: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (i, j, k), c in self.structure.items():
@@ -119,10 +121,9 @@ class LieClosure:
                 for k in range(j + 1, n):
                     total: dict[int, Fraction] = {}
                     for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-                        for m, c1 in table.get((x, y), {}).items():
-                            for l, c2 in table.get((m, z), {}).items():
-                                total[l] = total.get(l, Fraction(0)) + c1 * c2
-                    if any(total.values()):
+                        for m, c in table.get((x, y), {}).items():
+                            sub_scaled(total, table.get((m, z), {}), -c)
+                    if total:
                         return False
         return True
 

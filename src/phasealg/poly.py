@@ -9,6 +9,12 @@ Serialized forms (``str``, reports) list terms in graded-lexicographic
 order, highest first: total degree decides, ties break lexicographically
 on the exponent vector with q1 most significant.
 
+Each job has one implementation.  Sums and differences, and the sum that
+``substitute`` accumulates, go through ``linsolve.sub_scaled``; a variable
+given by name or index becomes an exponent vector in ``_var_exps``;
+``partial_derivative`` is ``derivative_multi`` of a unit vector; each
+variable's largest exponent comes from ``_maxima``.
+
 Products and brackets run on a packed form, built per call: each exponent
 vector becomes one int with a byte-aligned field per variable, all fields
 of one width (1, 2, 4 or 8 bytes), and the coefficients become int
@@ -28,11 +34,13 @@ from struct import Struct
 from typing import Iterable, Mapping
 
 from .context import PhaseContext
+from .linsolve import sub_scaled
 from .rational import rat
 
 Expvec = tuple[int, ...]
 Packed = list[tuple[int, int, Expvec]]   # (packed exponents, integer numerator, exponents)
 _WIDTHS = {"B": 1, "H": 2, "I": 4, "Q": 8}   # struct code -> bytes per packed field
+_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
 
 
 def _grlex_key(exps: Expvec) -> tuple[int, Expvec]:
@@ -48,6 +56,19 @@ def _maxima(*polys: "PhasePoly") -> list[int]:
     """Largest exponent of each variable over the terms of ``polys``."""
     exps = polys[0]._terms if len(polys) == 1 else [e for p in polys for e in p._terms]
     return list(map(max, zip(*exps))) or [0] * polys[0].ctx.nvars
+
+
+def _var_exps(ctx: PhaseContext, var: str | int, power: int = 1) -> Expvec:
+    """The exponent vector of ``var ** power``, for a variable given by name
+    ("q2", "p1", "x3") or by index."""
+    idx = ctx.var_index(var) if isinstance(var, str) else var
+    if idx is None:
+        raise ValueError(f"unknown canonical variable {var!r}")
+    if not 0 <= idx < ctx.nvars:
+        raise ValueError(f"variable index {var} out of range")
+    exps = [0] * ctx.nvars
+    exps[idx] = power
+    return tuple(exps)
 
 
 def _layout(tops: list[int]) -> Struct:
@@ -126,6 +147,13 @@ def _product_into(acc: dict[int, int], left: Packed, right: Packed) -> None:
             acc[key] = get(key, 0) + c1 * c2
 
 
+def _combine(a: "PhasePoly", b: "PhasePoly", factor: Fraction) -> "PhasePoly":
+    """``a - factor * b``, zeros dropped, by ``linsolve.sub_scaled``."""
+    terms = dict(a._terms)
+    sub_scaled(terms, b._terms, factor)
+    return PhasePoly._build(a.ctx, terms)
+
+
 class PhasePoly:
     __slots__ = ("ctx", "_terms")
 
@@ -167,17 +195,7 @@ class PhasePoly:
     @classmethod
     def variable(cls, ctx: PhaseContext, var: str | int) -> "PhasePoly":
         """The polynomial q_i or p_i, by name ("q2", "p1", "x3") or index."""
-        if isinstance(var, int):
-            if not 0 <= var < ctx.nvars:
-                raise ValueError(f"variable index {var} out of range")
-            idx = var
-        else:
-            idx = ctx.var_index(var)
-            if idx is None:
-                raise ValueError(f"unknown canonical variable {var!r}")
-        exps = [0] * ctx.nvars
-        exps[idx] = 1
-        return cls(ctx, {tuple(exps): Fraction(1)})
+        return cls(ctx, {_var_exps(ctx, var): Fraction(1)})
 
     @classmethod
     def monomial(cls, ctx: PhaseContext, exps: Iterable[int], coeff=1) -> "PhasePoly":
@@ -228,18 +246,7 @@ class PhasePoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        terms = dict(self._terms)
-        for exps, coeff in rhs._terms.items():
-            old = terms.get(exps)
-            if old is None:
-                terms[exps] = coeff
-                continue
-            new = old + coeff
-            if new:
-                terms[exps] = new
-            else:
-                del terms[exps]
-        return PhasePoly._build(self.ctx, terms)
+        return _combine(self, rhs, _MINUS_ONE)
 
     __radd__ = __add__
 
@@ -250,13 +257,13 @@ class PhasePoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self + (-rhs)
+        return _combine(self, rhs, _ONE)
 
     def __rsub__(self, other) -> "PhasePoly":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return rhs + (-self)
+        return _combine(rhs, self, _ONE)
 
     def __mul__(self, other) -> "PhasePoly":
         if isinstance(other, (int, Fraction)):
@@ -310,24 +317,9 @@ class PhasePoly:
     # -- calculus ---------------------------------------------------------------
 
     def partial_derivative(self, var: str | int) -> "PhasePoly":
-        """Formal partial derivative with respect to one canonical variable."""
-        if isinstance(var, str):
-            idx = self.ctx.var_index(var)
-            if idx is None:
-                raise ValueError(f"unknown canonical variable {var!r}")
-        else:
-            idx = var
-            if not 0 <= idx < self.ctx.nvars:
-                raise ValueError(f"variable index {idx} out of range")
-        terms: dict[Expvec, Fraction] = {}
-        for exps, coeff in self._terms.items():
-            e = exps[idx]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[idx] = e - 1
-            terms[tuple(new)] = coeff * e
-        return PhasePoly._build(self.ctx, terms)
+        """Formal partial derivative with respect to one canonical variable,
+        by name or index: ``derivative_multi`` of that variable's unit vector."""
+        return self.derivative_multi(_var_exps(self.ctx, var))
 
     def derivative_multi(self, order: Expvec) -> "PhasePoly":
         """Apply ``d^order[i]/d var_i^order[i]`` for every variable at once.
@@ -357,18 +349,17 @@ class PhasePoly:
     def substitute(self, images: Mapping[int, "PhasePoly"], target: PhaseContext) -> "PhasePoly":
         """Replace every variable by its image polynomial over ``target``.
 
-        Every variable actually appearing in the polynomial must be mapped.
-        Used by the canonical-map machinery to rewrite a Hamiltonian in new
-        variables.
+        Every variable actually appearing in the polynomial must be mapped;
+        otherwise a ``ValueError`` names the lowest-index unmapped one.  Each
+        image's powers are built once, up to the variable's largest exponent
+        (``_maxima``), and the products of the terms are summed into one
+        term map by ``linsolve.sub_scaled``.  Used by the canonical-map
+        machinery to rewrite a Hamiltonian in new variables.
         """
-        # Pre-compute the powers each image needs.
-        max_pow: dict[int, int] = {}
-        for exps in self._terms:
-            for i, e in enumerate(exps):
-                if e > 0:
-                    max_pow[i] = max(max_pow.get(i, 0), e)
         powers: dict[int, list[PhasePoly]] = {}
-        for i, top in max_pow.items():
+        for i, top in enumerate(_maxima(self)):
+            if not top:
+                continue
             if i not in images:
                 raise ValueError(f"no image for variable {self.ctx.var_name(i)}")
             cache = [PhasePoly.constant(target, 1), images[i]]
@@ -381,9 +372,8 @@ class PhasePoly:
             term = factors[0] if factors else PhasePoly.constant(target, 1)
             for factor in factors[1:]:
                 term = term * factor
-            for e2, c2 in term._terms.items():
-                acc[e2] = acc.get(e2, 0) + coeff * c2
-        return PhasePoly._build(target, {e: c for e, c in acc.items() if c})
+            sub_scaled(acc, term._terms, -coeff)
+        return PhasePoly._build(target, acc)
 
     # -- printing -----------------------------------------------------------------
 

@@ -25,7 +25,7 @@ from .brackets import _blocks
 from .context import PhaseContext
 from .errors import SeparationFailure
 from .linsolve import invert
-from .poly import PhasePoly
+from .poly import PhasePoly, _var_exps
 from .rational import rat
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -33,13 +33,6 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 
 def _transpose(matrix: Matrix) -> Matrix:
     return tuple(zip(*matrix))
-
-
-def _unit(ctx: PhaseContext, index: int, power: int = 1) -> tuple[int, ...]:
-    """The exponent vector of ``x_index ** power``."""
-    exps = [0] * ctx.nvars
-    exps[index] = power
-    return tuple(exps)
 
 
 def _check_masses(masses: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -101,7 +94,7 @@ class CanonicalMap:
         images: dict[int, PhasePoly] = {}
         for row, coeffs in enumerate(matrix):
             for c in range(d):
-                terms = {_unit(ctx, offset + i * d + c): k for i, k in enumerate(coeffs) if k}
+                terms = {_var_exps(ctx, offset + i * d + c): k for i, k in enumerate(coeffs) if k}
                 images[offset + row * d + c] = PhasePoly._build(ctx, terms)
         return images
 
@@ -186,7 +179,7 @@ def kinetic_energy(ctx: PhaseContext, masses: Mapping[int, Fraction], d: int) ->
 
     Row ``r`` owns the momenta ``p_(r*d + 1) .. p_(r*d + d)``.
     """
-    terms = {_unit(ctx, ctx.dof + row * d + c, 2): 1 / (2 * rat(m))
+    terms = {_var_exps(ctx, ctx.dof + row * d + c, 2): 1 / (2 * rat(m))
              for row, m in masses.items() for c in range(d)}
     return PhasePoly._build(ctx, terms)
 

@@ -80,6 +80,8 @@ class PotentialSpec:
             raise ValueError("grid must be at least 16 points")
         if not self.mass > 0:
             raise ValueError("mass must be positive")
+        if not math.isfinite(self.omega * self.omega):
+            raise ValueError(f"omega {self.omega!r} must have a finite square")
         if self.kind == "coulomb" and not self.r_min > 0:
             raise ValueError("coulomb potential needs r_min > 0")
         if self.kind == "tabulated":

@@ -333,6 +333,16 @@ def test_spectrum_box_levels_out_of_float_range(argv, capsys):
     assert "error: box levels for mass" in err and "side" in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_spectrum_internal_omega_square_must_be_finite(capsys):
+    """A finite --omega whose square overflows is refused when the potential
+    is built: exit 2, an error naming omega, no report."""
+    assert main(["spectrum", "internal", "--omega", "1e200"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: omega 1e+200 must have a finite square\n"
+
+
 NON_FINITE_OPTIONS = [
     (["spectrum", "box"], "--mass"),
     (["spectrum", "box"], "--side"),
@@ -506,6 +516,14 @@ def test_separate_mixed_terms(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["status"] == "mixed-terms"
     assert "r*R" in report["diagnostics"]
+
+
+def test_separate_empty_expr_is_parsed(capsys):
+    """An empty --expr is an expression like any other, not an absent one."""
+    assert main(["separate", "--masses", "1,2", "--dim", "1", "--expr", ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: unexpected end of input (at position 0)\n"
 
 
 def test_separate_bad_masses(capsys):

@@ -164,6 +164,8 @@ def test_substitute_linear(ctx):
     assert g == (t1 + t2) ** 2 + PhasePoly.variable(target, "p1") * 2
     with pytest.raises(ValueError):
         f.substitute({0: t1}, target)  # p1 image missing
+    with pytest.raises(ValueError, match="no image for variable q1$"):
+        f.substitute({}, target)  # the lowest-index missing variable is named
 
 
 def test_substitute_identity_roundtrip():

@@ -85,6 +85,63 @@ def test_product_matches_sympy(pair):
     assert same(a * b, to_sympy(a)[0] * to_sympy(b)[0])
 
 
+def small_operands(count: int):
+    """``count`` polynomials on one context with D <= 2, exponents <= 2."""
+    return st.sampled_from(CONTEXTS[:2]).flatmap(
+        lambda ctx: st.tuples(*[polys(ctx, max_exp=2, max_terms=4)] * count))
+
+
+@PROPERTY
+@given(small_operands(2))
+def test_sums_match_sympy(pair):
+    a, b = pair
+    ea, eb = to_sympy(a)[0], to_sympy(b)[0]
+    assert same(a + b, ea + eb)
+    assert same(a - b, ea - eb)
+    assert same(3 - a, 3 - ea)   # __rsub__
+    assert (a - a).is_zero() and a - a == 0
+
+
+@PROPERTY
+@given(small_operands(1), st.data())
+def test_derivatives_match_sympy_diff(single, data):
+    (a,) = single
+    expr, syms = to_sympy(a)
+    i = data.draw(st.integers(0, a.ctx.nvars - 1))
+    want = sympy.diff(expr, syms[i])
+    assert same(a.partial_derivative(i), want)
+    assert same(a.partial_derivative(a.ctx.var_name(i)), want)
+    order = data.draw(st.tuples(*[st.integers(0, 3)] * a.ctx.nvars))
+    want = expr
+    for sym, k in zip(syms, order):
+        want = sympy.diff(want, sym, k)
+    assert same(a.derivative_multi(order), want)
+
+
+@PROPERTY
+@given(small_operands(1), st.data())
+def test_substitute_matches_sympy_subs(single, data):
+    """Images over a D <= 2 target; an image may be plus or minus the first
+    one, so that terms of the result cancel."""
+    (a,) = single
+    target = data.draw(st.sampled_from(CONTEXTS[:2]))
+    images = {}
+    for i in range(a.ctx.nvars):
+        copy = i and data.draw(st.sampled_from([None, 1, -1]))
+        images[i] = images[0] * copy if copy else data.draw(polys(target, max_exp=1, max_terms=3))
+    expr, syms = to_sympy(a)
+    want = expr.subs({s: to_sympy(images[i])[0] for i, s in enumerate(syms)}, simultaneous=True)
+    assert same(a.substitute(images, target), sympy.expand(want))
+
+
+def test_substitute_cancels_terms():
+    ctx = PhaseContext(1)
+    q, p = PhasePoly.variable(ctx, "q1"), PhasePoly.variable(ctx, "p1")
+    f = q**2 - p**2
+    assert f.substitute({0: q, 1: q}, ctx).is_zero()
+    assert f.substitute({0: q + p, 1: q - p}, ctx) == 4 * q * p
+
+
 @PROPERTY
 @given(operands(2))
 def test_poisson_matches_sympy_diff(pair):
