@@ -5,6 +5,10 @@ named generator expressions in the DSL, and engine options.  Reports are
 JSON too, with every polynomial serialized as canonical DSL text and every
 rational as a string, so identical inputs always produce identical bytes.
 
+Each ``cmd_*`` turns parsed arguments into a report dict; ``main`` alone
+writes it, to stdout or to ``-o``, and returns its ``exit_code``.  A failure
+raised as an exception writes no report.
+
 Exit codes: 0 success, 2 input error, 3 algebra does not close (the report
 is still written, with diagnostics), 4 I/O failure, 5 out of memory.
 
@@ -33,7 +37,7 @@ from .closure import (
     structure_constants,
 )
 from .context import PhaseContext
-from .errors import NonClosingError, ParseError, PhaseAlgError, SeparationFailure
+from .errors import NonClosingError, PhaseAlgError, SeparationFailure
 from .invariants import find_casimir, find_center, verify_invariant
 from .parser import parse_expression
 from .poly import format_poly
@@ -119,13 +123,16 @@ class Problem:
         if self.center_degree < 0:
             raise ValueError("problem field 'options.center_degree' must be a nonnegative integer")
         self.options = options
+        self.overrides: list[str] = []
 
     def apply_overrides(self, pairs: list[str]) -> None:
+        """Set each ``NAME=VALUE`` parameter, and record the pair for ``echo``."""
         for item in pairs:
             name, sep, value = item.partition("=")
             if not sep or not name:
                 raise ValueError(f"--set expects NAME=VALUE, got {item!r}")
             self.params[name] = rat(value)
+            self.overrides.append(item)
 
     def context(self) -> PhaseContext:
         return PhaseContext(
@@ -138,14 +145,14 @@ class Problem:
             for name, expr in self.generators.items()
         ]
 
-    def echo(self, overrides: list[str]) -> dict:
+    def echo(self) -> dict:
         return {
             "source": self.origin,
             "dof": self.dof,
             "params": self.params,
             "generators": dict(self.generators),
             "options": {k: str(v) for k, v in self.options.items()},
-            "overrides": list(overrides),
+            "overrides": list(self.overrides),
         }
 
 
@@ -209,19 +216,16 @@ def _closure_payload(closure) -> dict:
     }
 
 
-def _close_and_report(args, command: str, fill) -> int:
-    """Load, override and close the problem, then write the report.
-
-    ``fill(args, problem, closure, report)`` adds the command's own entries.  An
-    algebra that does not close gets a diagnostics report and exit code 3.
-    """
+def _closed(args, command: str):
+    """The problem with ``--set`` applied, the report's first entries and the
+    closure; or, for an algebra that does not close, a finished exit-3 report
+    and ``None``."""
     problem = load_problem(args.problem)
     problem.apply_overrides(args.set or [])
-    seeds = problem.seeds(problem.context())
-    report = {"command": command, "problem": problem.echo(args.set or [])}
+    report = {"command": command, "problem": problem.echo()}
     try:
         closure = close_algebra(
-            seeds,
+            problem.seeds(problem.context()),
             bracket_kind=problem.bracket,
             max_basis=problem.max_basis,
             max_degree=problem.max_degree,
@@ -232,23 +236,26 @@ def _close_and_report(args, command: str, fill) -> int:
             diagnostics=[str(exc), SIGN_CONVENTION_NOTE],
             exit_code=3,
         )
-        _emit(report, args.output)
-        return 3
-    fill(args, problem, closure, report)
-    report.update(diagnostics=convention_notes(closure), exit_code=0)
-    _emit(report, args.output)
-    return 0
+        return problem, report, None
+    return problem, report, closure
 
 
-def _close_entries(args, problem, closure, report: dict) -> None:
-    report.update(status="ok", closure=_closure_payload(closure))
+def cmd_close(args) -> dict:
+    _, report, closure = _closed(args, "close")
+    if closure is not None:
+        report.update(
+            status="ok",
+            closure=_closure_payload(closure),
+            diagnostics=convention_notes(closure),
+            exit_code=0,
+        )
+    return report
 
 
-def cmd_close(args) -> int:
-    return _close_and_report(args, "close", _close_entries)
-
-
-def _invariant_entries(args, problem, closure, report: dict) -> None:
+def cmd_invariants(args) -> dict:
+    problem, report, closure = _closed(args, "invariants")
+    if closure is None:
+        return report
     report["closure"] = _closure_payload(closure)
 
     both = not (args.casimir or args.center)
@@ -293,9 +300,8 @@ def _invariant_entries(args, problem, closure, report: dict) -> None:
             )
         report["center"] = payload
 
-
-def cmd_invariants(args) -> int:
-    return _close_and_report(args, "invariants", _invariant_entries)
+    report.update(diagnostics=convention_notes(closure), exit_code=0)
+    return report
 
 
 def _spectrum_report(rep, command: str) -> dict:
@@ -311,10 +317,8 @@ def _spectrum_report(rep, command: str) -> dict:
     return report
 
 
-def cmd_spectrum_box(args) -> int:
-    rep = box_spectrum(args.mass, args.side, args.nmax)
-    _emit(_spectrum_report(rep, "spectrum box"), args.output)
-    return 0
+def cmd_spectrum_box(args) -> dict:
+    return _spectrum_report(box_spectrum(args.mass, args.side, args.nmax), "spectrum box")
 
 
 # What each potential of ``spectrum internal`` reads, with the defaults,
@@ -353,14 +357,12 @@ def _potential_from_args(args):
     return read_tabulated(opt["table"], mass=args.mass, grid=args.grid)
 
 
-def cmd_spectrum_internal(args) -> int:
-    spec = _potential_from_args(args)
-    rep = internal_spectrum(spec, args.count)
-    _emit(_spectrum_report(rep, "spectrum internal"), args.output)
-    return 0
+def cmd_spectrum_internal(args) -> dict:
+    rep = internal_spectrum(_potential_from_args(args), args.count)
+    return _spectrum_report(rep, "spectrum internal")
 
 
-def cmd_spectrum_composite(args) -> int:
+def cmd_spectrum_composite(args) -> dict:
     if args.mode == "right":
         _refuse_unread(args, ["count", "side", "nmax", "mass"], "--mode right")
         if args.f is None:
@@ -374,11 +376,10 @@ def cmd_spectrum_composite(args) -> int:
         rep = composite_spectrum(
             args.internal, cm, "composite-spurious", count=args.count
         )
-    _emit(_spectrum_report(rep, "spectrum composite"), args.output)
-    return 0
+    return _spectrum_report(rep, "spectrum composite")
 
 
-def cmd_separate(args) -> int:
+def cmd_separate(args) -> dict:
     masses = [rat(v) for v in args.masses.split(",") if v != ""]
     if len(masses) < 2:
         raise ValueError("--masses expects at least two comma-separated values")
@@ -422,8 +423,7 @@ def cmd_separate(args) -> int:
             ],
             exit_code=2,
         )
-        _emit(report, args.output)
-        return 2
+        return report
     report.update(
         status="ok",
         h_cm=format_poly(h_cm),
@@ -438,8 +438,7 @@ def cmd_separate(args) -> int:
         diagnostics=[],
         exit_code=0,
     )
-    _emit(report, args.output)
-    return 0
+    return report
 
 
 def _int_at_least(low: int):
@@ -510,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_int = spec_sub.add_parser("internal", help="1D finite-difference levels")
     p_int.add_argument(
         "--potential",
-        choices=("harmonic", "box", "coulomb", "tabulated"),
+        choices=tuple(_POTENTIAL_OPTIONS),
         default="harmonic",
     )
     # refused unless the potential reads them (_POTENTIAL_OPTIONS)
@@ -576,16 +575,14 @@ def _apply_memory_cap() -> None:
 def main(argv=None) -> int:
     try:
         _apply_memory_cap()
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        report = args.func(args)
+        _emit(report, args.output)
+        return report["exit_code"]
     except SystemExit as exc:  # argparse errors carry their own code
         code = exc.code
         return code if isinstance(code, int) else 2
-    except NonClosingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ParseError, SeparationFailure, PhaseAlgError, ValueError) as exc:
+    except (PhaseAlgError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -153,12 +153,9 @@ class _Parser:
             self.expect_op(")")
             return inner
         if kind == "op" and value == "-":
-            return -self.base_with_power()
+            # '-' binds looser than '^' so that "-q1^2" means -(q1^2).
+            return -self.factor()
         raise ParseError(f"expected a value, found {value!r}" if value else "unexpected end of input", at)
-
-    def base_with_power(self) -> PhasePoly:
-        # '-' binds looser than '^' so that "-q1^2" means -(q1^2).
-        return self.factor()
 
 
 def parse_expression(text: str, ctx: PhaseContext) -> PhasePoly:

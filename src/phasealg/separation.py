@@ -75,8 +75,8 @@ class CanonicalMap:
     def total_mass(self) -> Fraction:
         return sum(self.masses, Fraction(0))
 
-    def old_context(self, hbar=1) -> PhaseContext:
-        return PhaseContext(self.n_bodies * self.d, hbar=hbar)
+    def old_context(self) -> PhaseContext:
+        return PhaseContext(self.n_bodies * self.d)
 
     def label(self, index: int) -> str:
         """Name of new variable ``index = offset + row*d + c``, positions first."""

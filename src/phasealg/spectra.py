@@ -90,6 +90,17 @@ class PotentialSpec:
             diffs = np.diff(np.asarray(self.positions, dtype=float))
             if not (diffs > 0).all():
                 raise ValueError("tabulated positions must increase strictly")
+        h = self.spacing
+        scale = self.mass * h * h
+        if not (scale > 0 and sys.float_info.min <= 1.0 / scale < math.inf):
+            raise ValueError(
+                f"kinetic scale 1/(m h^2) for mass {self.mass!r} and grid spacing h = {h!r}"
+                " leaves the float range")
+
+    @property
+    def spacing(self) -> float:
+        """Grid spacing h of the ``grid`` points from ``a`` to ``b``."""
+        return (self.b - self.a) / (self.grid - 1)
 
     def sample(self, x: np.ndarray) -> np.ndarray:
         if self.kind == "harmonic":
@@ -246,7 +257,7 @@ def fd_eigen_1d(spec: PotentialSpec, count: int) -> np.ndarray:
     interior = spec.grid - 2
     if not 1 <= count <= interior:
         raise ValueError(f"count must be in [1, {interior}], got {count}")
-    h = (spec.b - spec.a) / (spec.grid - 1)
+    h = spec.spacing
     x = spec.a + h * np.arange(1, spec.grid - 1)
     v = np.asarray(spec.sample(x), dtype=float)
     if not np.isfinite(v).all():

@@ -2,8 +2,10 @@ import filecmp
 import io
 import json
 import math
+import shlex
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,15 @@ def write_problem(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def write_well(path):
+    """A tabulated harmonic well V = x^2/2 on [-10, 10]."""
+    lines = ["# x  V"]
+    for i in range(201):
+        x = -10 + 0.1 * i
+        lines.append(f"{x} {0.5 * x * x}")
+    path.write_text("\n".join(lines) + "\n")
 
 
 def test_close_bundled_sphere(capsys):
@@ -236,11 +247,7 @@ def test_spectrum_internal_tabulated_needs_table(capsys):
 
 def test_spectrum_internal_reads_table(tmp_path, capsys):
     table = tmp_path / "well.dat"
-    lines = ["# x  V"]
-    for i in range(201):
-        x = -10 + 0.1 * i
-        lines.append(f"{x} {0.5 * x * x}")
-    table.write_text("\n".join(lines) + "\n")
+    write_well(table)
     code, report = run_json(
         capsys,
         [
@@ -331,6 +338,22 @@ def test_spectrum_box_levels_out_of_float_range(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "error: box levels for mass" in err and "side" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--domain=0,1e-160"], ["--mass", "1e-310"], ["--potential", "box", "--side", "1e300"]],
+    ids=["spacing-underflow", "mass-subnormal", "spacing-overflow"],
+)
+def test_spectrum_internal_kinetic_scale_out_of_float_range(argv, capsys):
+    """A finite-difference kinetic scale 1/(m h^2) outside the normal float
+    range exits 2 with an error naming the mass and the grid spacing, and
+    writes no report.  (Once: a ZeroDivisionError traceback, scipy's
+    "array must not contain infs or NaNs", and every level 0.0.)"""
+    assert main(["spectrum", "internal", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "mass" in err and "grid spacing" in err
 
 
 @pytest.mark.filterwarnings("error")
@@ -514,6 +537,7 @@ def test_separate_mixed_terms(tmp_path, capsys):
     capsys.readouterr()
     assert code == 2
     report = json.loads(out.read_text())
+    assert report["exit_code"] == code
     assert report["status"] == "mixed-terms"
     assert "r*R" in report["diagnostics"]
 
@@ -530,6 +554,41 @@ def test_separate_bad_masses(capsys):
     assert main(["separate", "--masses", "1"]) == 2
     assert main(["separate", "--masses", "0,1"]) == 2
     capsys.readouterr()
+
+
+RAISED_FAILURES = {
+    "close-parse-error": ["close", "broken.json"],
+    "invariants-ansatz-over-cap": ["invariants", "cm", "--center", "--degree", "9"],
+    "separate-one-mass": ["separate", "--masses", "1"],
+    "spectrum-count-zero": ["spectrum", "composite", "--mode", "spurious", "--internal", "1",
+                            "--mass", "1", "--side", "1", "--count", "0"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAISED_FAILURES))
+def test_failure_raised_as_exception_writes_no_report(name, tmp_path, monkeypatch, capsys):
+    """A failure raised as an exception, in any command family, exits 2
+    with an error on stderr and writes no report, to -o or to stdout."""
+    monkeypatch.chdir(tmp_path)
+    write_problem(tmp_path, "broken.json", {"dof": 1, "generators": {"H": "p1^2 +"}})
+    assert main([*RAISED_FAILURES[name], "-o", "report.json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_readme_cli_examples_succeed(tmp_path, monkeypatch, capsys):
+    """Every line of README's "## Command line" sh block exits 0."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert examples and all(argv[0] == "phasealg" for argv in examples)
+    monkeypatch.chdir(tmp_path)
+    write_well(tmp_path / "well.dat")
+    for _, *argv in examples:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
 
 
 def test_argparse_errors_return_two(capsys):

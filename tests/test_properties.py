@@ -247,7 +247,7 @@ CANONICAL_MAPS = st.one_of(
 def test_brackets_invariant_under_canonical_maps(bracket, hbar, cmap, data):
     """Rewriting f and g in the new variables, then bracketing, equals
     bracketing, then rewriting: the maps are linear and symplectic."""
-    old = cmap.old_context(hbar=hbar)
+    old = PhaseContext(cmap.old_context().dof, hbar=hbar)
     new = PhaseContext(old.dof, hbar=hbar)
     images = cmap.old_variable_images(new)
     f, g = data.draw(st.tuples(*[low_degree_polys(old, 3)] * 2))

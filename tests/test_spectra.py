@@ -105,6 +105,9 @@ def test_potential_spec_validation():
             positions=(0.0, 0.0, 1.0),
             values=(1.0, 2.0, 3.0),
         )
+    # 1/(m h^2) overflows to inf (once scipy's "array must not contain infs")
+    with pytest.raises(ValueError, match="mass 1e-310 and grid spacing"):
+        PotentialSpec(kind="box", mass=1e-310, a=0, b=1, grid=100)
 
 
 def test_fd_square_well_levels():
