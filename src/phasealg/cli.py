@@ -7,7 +7,8 @@ rational as a string, so identical inputs always produce identical bytes.
 
 Each ``cmd_*`` turns parsed arguments into a report dict; ``main`` alone
 writes it, to stdout or to ``-o``, and returns its ``exit_code``.  A failure
-raised as an exception writes no report.
+raised as an exception writes no report.  ``main`` may be called many times
+in one process; it builds its parser once, at first use, not at import.
 
 Exit codes: 0 success, 2 input error, 3 algebra does not close (the report
 is still written, with diagnostics), 4 I/O failure, 5 out of memory.
@@ -21,6 +22,7 @@ cap, instead of taking the machine down.  No report is written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -472,7 +474,11 @@ def _finite_pair(text: str) -> tuple[float, float]:
     return _finite(items[0]), _finite(items[1])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at its first use and then shared: parsing
+    reads it and never changes it.  Each subcommand runs ``cmd_<command>``, or
+    ``cmd_spectrum_<kind>``, looked up by ``main`` when it runs."""
     parser = argparse.ArgumentParser(
         prog="phasealg",
         description="Exact constraint-algebra closures, invariants and spectra.",
@@ -485,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_close.add_argument(
         "--set", action="append", metavar="NAME=VALUE", help="override a parameter"
     )
-    p_close.set_defaults(func=cmd_close)
 
     p_inv = sub.add_parser("invariants", help="search for Casimir and centre elements")
     p_inv.add_argument("problem")
@@ -494,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--degree", type=_int_at_least(0), help="centre ansatz total degree")
     p_inv.add_argument("-o", "--output")
     p_inv.add_argument("--set", action="append", metavar="NAME=VALUE")
-    p_inv.set_defaults(func=cmd_invariants)
 
     p_spec = sub.add_parser("spectrum", help="numerical level tables")
     spec_sub = p_spec.add_subparsers(dest="spectrum_command", required=True)
@@ -504,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_box.add_argument("--side", type=_finite, default=1.0)
     p_box.add_argument("--nmax", type=int, default=3)
     p_box.add_argument("-o", "--output")
-    p_box.set_defaults(func=cmd_spectrum_box)
 
     p_int = spec_sub.add_parser("internal", help="1D finite-difference levels")
     p_int.add_argument(
@@ -523,7 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--grid", type=int, default=2000)
     p_int.add_argument("--count", type=int, default=5)
     p_int.add_argument("-o", "--output")
-    p_int.set_defaults(func=cmd_spectrum_internal)
 
     p_comp = spec_sub.add_parser("composite", help="internal plus CM spectra")
     p_comp.add_argument("--mode", choices=("right", "spurious"), required=True)
@@ -534,7 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_comp.add_argument("--nmax", type=int, help="spurious mode only (default 3)")
     p_comp.add_argument("--count", type=int, help="truncate spurious level list")
     p_comp.add_argument("-o", "--output")
-    p_comp.set_defaults(func=cmd_spectrum_composite)
 
     p_sep = sub.add_parser("separate", help="split off the centre of mass")
     p_sep.add_argument("--masses", required=True, metavar="M1,M2[,...]")
@@ -544,7 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="Hamiltonian over q1..qNd, p1..pNd (default: total kinetic energy)",
     )
     p_sep.add_argument("-o", "--output")
-    p_sep.set_defaults(func=cmd_separate)
 
     return parser
 
@@ -576,7 +576,10 @@ def main(argv=None) -> int:
     try:
         _apply_memory_cap()
         args = build_parser().parse_args(argv)
-        report = args.func(args)
+        command = args.command
+        if command == "spectrum":
+            command += "_" + args.spectrum_command
+        report = globals()["cmd_" + command](args)
         _emit(report, args.output)
         return report["exit_code"]
     except SystemExit as exc:  # argparse errors carry their own code

@@ -15,7 +15,8 @@ identical inputs give identical outputs.
 ``Echelon.reduce`` is one integer linear combination of the stored rows, and
 both it and ``sub_scaled`` build a ``Fraction`` only per output entry, so
 the gcd that normalizes a ``Fraction`` runs once per entry, not once per
-arithmetic operation.
+arithmetic operation; ``sub_scaled`` with factor -1 (a sum) builds none for
+an entry new to the row, which keeps the other operand's ``Fraction``.
 """
 
 from __future__ import annotations
@@ -27,18 +28,22 @@ from typing import Callable, Hashable, Mapping
 
 def sub_scaled(row: dict, other: Mapping, factor: Fraction, skip: Hashable = None) -> None:
     """``row -= factor * other`` in place, over ``other``'s columns but ``skip``
-    (a pivot the caller popped), with one ``Fraction`` built per entry."""
+    (a pivot the caller popped), with one ``Fraction`` built per entry.  For
+    ``factor == -1`` (``row += other``) an entry new to the row is ``other``'s
+    own ``Fraction``, so only entries that both hold build one."""
     num, den = factor.numerator, factor.denominator
+    plus = num == -1 and den == 1
     get = row.get
     for c, v in other.items():
         if c == skip:
             continue
         old = get(c)
-        d = v.denominator * den
         if old is None:
-            row[c] = Fraction(-num * v.numerator, d)
-        elif new := Fraction(old.numerator * d - num * v.numerator * old.denominator,
-                             old.denominator * d):
+            row[c] = v if plus else Fraction(-num * v.numerator, v.denominator * den)
+            continue
+        d = v.denominator * den
+        if new := Fraction(old.numerator * d - num * v.numerator * old.denominator,
+                           old.denominator * d):
             row[c] = new
         else:
             del row[c]

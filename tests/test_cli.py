@@ -2,7 +2,9 @@ import filecmp
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
 import sys
 import weakref
 from pathlib import Path
@@ -672,3 +674,70 @@ def test_out_of_memory_exits_five(monkeypatch, capsys, cap):
     assert capsys.readouterr().out == ""
     expected = f"PHASEALG_MAX_MEMORY_MB={cap}" if cap else "no PHASEALG_MAX_MEMORY_MB cap"
     assert stderr.getvalue() == f"error: out of memory ({expected})\n"
+
+
+def test_parser_is_built_once_and_not_at_import():
+    from phasealg import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    probe = "import phasealg.cli as cli; print(cli.build_parser.cache_info().currsize)"
+    src = str(Path(__file__).parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+    assert done.stdout == "0\n"
+
+
+def test_cached_parser_shares_no_state_between_calls(capsys):
+    """Each call parses into a fresh namespace: an appended ``--set``, an
+    option a potential refuses and an explicit ``--degree`` do not carry
+    over to the next call, and argparse errors and ``--help`` still exit."""
+    code, report = run_json(capsys, ["close", "cm", "--set", "M=2"])
+    assert code == 0 and report["problem"]["overrides"] == ["M=2"]
+    code, report = run_json(capsys, ["close", "cm"])
+    assert code == 0 and report["problem"]["overrides"] == []
+
+    code, _ = run_json(capsys, ["spectrum", "internal", "--potential", "coulomb", "--kappa", "2"])
+    assert code == 0
+    code, report = run_json(capsys, ["spectrum", "internal", "--potential", "harmonic"])
+    assert code == 0 and report["mode"] == "internal"
+
+    code, report = run_json(capsys, ["invariants", "cm", "--center", "--degree", "3"])
+    assert code == 0 and report["center"]["degree"] == 3
+    code, report = run_json(capsys, ["invariants", "cm", "--center"])
+    assert code == 0 and report["center"]["degree"] == 2   # cm's center_degree
+
+    assert main(["close"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: phasealg close")
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: phasealg")
+
+
+DISPATCH = {
+    "cmd_close": ["close", "cm"],
+    "cmd_invariants": ["invariants", "cm"],
+    "cmd_separate": ["separate", "--masses", "1,2"],
+    "cmd_spectrum_box": ["spectrum", "box"],
+    "cmd_spectrum_internal": ["spectrum", "internal"],
+    "cmd_spectrum_composite": ["spectrum", "composite", "--mode", "right", "--internal", "1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISPATCH))
+def test_every_command_is_dispatched_at_call_time(name, monkeypatch, capsys):
+    """``main`` looks each ``cmd_*`` up when it runs, so a function patched
+    after the parser was built is the one called."""
+    from phasealg import cli
+
+    assert main(["spectrum", "box", "--nmax", "1"]) == 0   # the parser is built
+    capsys.readouterr()
+    calls = []
+
+    def stub(args):
+        calls.append(args)
+        return {"exit_code": 0}
+
+    monkeypatch.setattr(cli, name, stub)
+    code, report = run_json(capsys, DISPATCH[name])
+    assert code == 0 and report == {"exit_code": 0}
+    assert len(calls) == 1

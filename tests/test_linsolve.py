@@ -283,3 +283,23 @@ def test_sub_scaled_matches_fraction_arithmetic():
         sub_scaled(row, other, factor, skip)
         assert row == expected
         assert all(v for v in row.values())
+
+
+def test_sub_scaled_by_minus_one_is_the_dict_sum():
+    """``factor == -1`` keeps ``other``'s own entry where the row has none;
+    the result is still the plain sum, with cancelled entries dropped and
+    ``skip`` left alone."""
+    rng = random.Random(7919)
+    for _ in range(200):
+        row = {c: _big_fraction(rng) for c in rng.sample(range(8), rng.randint(0, 6))}
+        other = {c: _big_fraction(rng) for c in rng.sample(range(8), rng.randint(0, 6))}
+        for c in sorted(set(row) & set(other))[:2]:
+            row[c] = -other[c]   # cancels exactly
+        skip = rng.choice([None, *other])
+        expected = dict(row)
+        for c, v in other.items():
+            if c != skip:
+                expected[c] = expected.get(c, Fraction(0)) + v
+        sub_scaled(row, other, Fraction(-1), skip)
+        assert row == {c: v for c, v in expected.items() if v}
+        assert all(type(v) is Fraction and v for v in row.values())

@@ -103,6 +103,18 @@ def test_sums_match_sympy(pair):
 
 
 @PROPERTY
+@given(small_operands(2))
+def test_sums_that_cancel_match_sympy(pair):
+    """Sums whose terms cancel, wholly or in part, drop the zero terms."""
+    a, b = pair
+    eb = to_sympy(b)[0]
+    assert same(a + (b - a), eb)
+    assert same((b + a) + -a, eb)
+    assert a + (b - a) == b and (b + a) + -a == b   # term maps equal: no zero kept
+    assert (a + -a).is_zero()
+
+
+@PROPERTY
 @given(small_operands(1), st.data())
 def test_derivatives_match_sympy_diff(single, data):
     (a,) = single
