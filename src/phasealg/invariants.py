@@ -22,12 +22,15 @@ and builds its monomials as canonical terms, without validation.
 Both searches take their rows from the bracket kernel itself: one kernel
 set-up packs the ansatz once for every seed, and one walk per seed
 brackets every ansatz term with it (``brackets._series``), under either
-bracket and at any hbar, so no bracket is taken per term.  The one
-contract left is row order (seed, ansatz term, graded-lex-descending
-monomial): ``_rows`` sorts each of the kernel's unordered blocks, because
-``nullspace``'s output depends on the order while its ``sparse_rref``
-defect stands.  Each solution is scaled and summed over its nonzero
-entries only.
+bracket and at any hbar, so no bracket is taken per term.  The system is
+integer from the kernel to the nullspace: the walk's numerators, each
+scaled to one denominator per seed, are the rows, and ``nullspace``
+eliminates in integers, so ``Fraction``s are built only in the solutions.
+The one contract left is row order (seed, ansatz term,
+graded-lex-descending monomial): ``_rows`` sorts each walk's unordered
+entries, because ``nullspace``'s output depends on the order while its
+``sparse_rref`` defect stands.  Each solution is scaled and summed over its
+nonzero entries only.
 
 ``verify_invariant`` stays an independent check against the full basis.
 An empty nontrivial solution set is a meaningful result: for an
@@ -40,14 +43,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, lcm
 from typing import Sequence
 
 from .brackets import _blocks, _series
 from .closure import LieClosure
 from .errors import AnsatzTooLargeError
 from .linsolve import nullspace, sub_scaled
-from .poly import Expvec, PhasePoly, _grlex_item, _grlex_key, _unpack_blocks
+from .poly import Expvec, PhasePoly, _grlex_key, _tagged
 
 # The most monomials a ``find_center`` ansatz may have.
 MAX_ANSATZ_MONOMIALS = 5000
@@ -88,42 +91,55 @@ class InvariantReport:
     passed: bool
 
 
-def _rows(terms: Sequence[PhasePoly], closure: LieClosure) -> dict:
-    """The rows of ``bracket(sum_u x_u T_u, s) == 0`` for every seed ``s``.
+def _rows(terms: Sequence[PhasePoly], closure: LieClosure) -> tuple[dict, dict[int, int]]:
+    """The rows of ``bracket(sum_u x_u T_u, s) == 0`` for every seed ``s``, in
+    integers, and each seed's denominator.
 
-    Keyed ``(basis index of s, monomial)``, in order of first appearance:
-    seed, then ansatz term, then graded-lex-descending monomial of
-    ``bracket(T_u, s)``; each row maps ansatz index ``u`` to its coefficient.
-    One kernel set-up packs the terms once for every seed, and one walk per
-    seed brackets every term with it (``brackets._series``), under either
-    bracket and at any hbar; the blocks are unordered and are sorted here
-    only because ``nullspace`` depends on this order.
+    Rows are keyed ``(basis index k of s, monomial)``, in order of first
+    appearance: seed, then ansatz term, then graded-lex-descending monomial
+    of ``bracket(T_u, s)``; each row maps ansatz index ``u`` to an integer,
+    its coefficient times the seed's denominator ``dens[k]``.  One kernel
+    set-up packs the terms once for every seed, and one walk per seed
+    brackets every term with it (``brackets._series``), under either bracket
+    and at any hbar.  The walk's numerators are read straight into the rows:
+    term ``u``'s are over its own denominator, so they are scaled by
+    ``dens[k]`` over it, with ``dens[k]`` the lcm of the walk's denominators.
+    The walk's entries are unordered and are sorted here only because
+    ``nullspace`` depends on this order.
     """
     names = set(closure.seed_names)
     seeds = [(k, elem.poly) for k, elem in enumerate(closure.basis)
              if not elem.is_identity and elem.name in names]
     series = _series(terms, [poly for _, poly in seeds], closure.bracket_kind == "moyal")
-    rows: dict[tuple[int, Expvec], dict[int, Fraction]] = {}
-    for (k, _), walk in zip(seeds, series):
-        for u, block in enumerate(_unpack_blocks(*walk)):
-            # a bracket's monomials are distinct: one entry per (row, term)
-            for mono, coeff in sorted(block.items(), key=_grlex_item, reverse=True):
-                rows.setdefault((k, mono), {})[u] = coeff
-    return rows
+    rows: dict[tuple[int, Expvec], dict[int, int]] = {}
+    dens: dict[int, int] = {}
+    for (k, _), (acc, layout, term_dens) in zip(seeds, series):
+        den = dens[k] = lcm(*term_dens)
+        scales = [den // d for d in term_dens]
+        # (-u, degree, exponents) descending is term ascending, then graded
+        # lex descending; a bracket's monomials are distinct, so the sort
+        # compares no numerators
+        for neg_u, _, mono, num in sorted([(-u, sum(exps), exps, num) for u, exps, num
+                                           in _tagged(acc, layout)], reverse=True):
+            rows.setdefault((k, mono), {})[-neg_u] = num * scales[-neg_u]
+    return rows, dens
 
 
 def _solve(terms: Sequence[PhasePoly], closure: LieClosure):
     """Solutions of ``bracket(sum_u x_u T_u, s) == 0`` for every seed ``s``.
 
-    One row per (seed, output monomial), built by ``_rows`` from the bracket
-    kernel in the one order ``nullspace``'s output depends on while its
-    ``sparse_rref`` defect stands; one column per ansatz term.  Returns,
-    per nullspace vector, the vector scaled so its first nonzero entry is
-    1, and its polynomial ``sum_u x_u T_u``.  Only the nonzero entries are
-    scaled and summed: a vector is mostly zeros.
+    One integer row per (seed, output monomial), built by ``_rows`` from the
+    bracket kernel in the one order ``nullspace``'s output depends on while
+    its ``sparse_rref`` defect stands; one column per ansatz term.  A row's
+    scale changes no solution, so the rows go to ``nullspace`` as they are,
+    and ``Fraction``s are built only in the solutions.  Returns, per
+    nullspace vector, the vector scaled so its first nonzero entry is 1, and
+    its polynomial ``sum_u x_u T_u``.  Only the nonzero entries are scaled
+    and summed: a vector is mostly zeros.
     """
     solutions = []
-    for vec in nullspace(list(_rows(terms, closure).values()), len(terms)):
+    rows, _ = _rows(terms, closure)
+    for vec in nullspace(list(rows.values()), len(terms)):
         support = [u for u, v in enumerate(vec) if v]
         lead = vec[support[0]]
         acc: dict[Expvec, Fraction] = {}

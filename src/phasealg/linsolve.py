@@ -6,11 +6,14 @@ reduction, ``invert``) keeps its rows fully reduced.  ``sparse_rref``
 column is not a pivot, so a stored row can keep another pivot column and
 ``nullspace`` can return a vector that breaks a row (the strict xfail
 ``tests/test_linsolve.py::test_nullspace_vectors_solve_every_row``; the fix
-changes a pinned benchmark answer).  ``sparse_rref`` keeps a column index,
-each column mapped to the pivots whose rows hold it, so a new pivot is
-back-substituted only into those rows; ``nullspace`` reads every free
-vector in one pass over the pivot rows.  Both engines are deterministic:
-identical inputs give identical outputs.
+changes a pinned benchmark answer).  ``sparse_rref`` also takes ``int``
+rows, and eliminates in integers: each row is scaled to integers once, a
+stored row is kept over its own pivot entry, and ``Fraction``s are built
+only for what it returns (``nullspace``: only for entries at free columns).
+It keeps a column index, each column mapped to the pivots whose rows hold
+it, so a new pivot is back-substituted only into those rows; ``nullspace``
+reads every free vector in one pass over the pivot rows.  Both engines are
+deterministic: identical inputs give identical outputs.
 
 ``Echelon.reduce`` is one integer linear combination of the stored rows, and
 both it and ``sub_scaled`` build a ``Fraction`` only per output entry, so
@@ -160,38 +163,59 @@ class Echelon:
         return True
 
 
-def sparse_rref(rows) -> dict[int, dict[int, Fraction]]:
-    """Row-echelon form, returned as ``pivot_col -> row`` in order of pivot.
+def _eliminate(row: dict, prow: Mapping, factor: int, col: int) -> None:
+    """Clear the entry ``factor`` that the caller popped from ``row`` at
+    ``col``, with the integer row ``prow``, whose pivot is ``col``: in place,
+    ``row * (lead // g) - (factor // g) * prow`` over ``prow``'s columns but
+    ``col``, with ``lead = prow[col]`` and ``g = gcd(factor, lead)``.  Up to
+    scale, that is ``row - factor / lead * prow``."""
+    lead = prow[col]
+    g = gcd(factor, lead)
+    scale, factor = lead // g, factor // g
+    if scale != 1:
+        for c in row:
+            row[c] *= scale
+    get = row.get
+    for c, v in prow.items():
+        if c == col:
+            continue
+        old = get(c)
+        if old is None:
+            row[c] = -factor * v
+        elif new := old - factor * v:
+            row[c] = new
+        else:
+            del row[c]
 
-    Every returned row has coefficient 1 at its pivot column, and a new
-    pivot is back-substituted into every stored row, so no row holds a
-    pivot made after it.  But a new row is reduced only until its smallest
-    column is not a pivot, so it can keep an earlier pivot column: the
-    form is not fully reduced, and ``nullspace``
-    can return a vector that breaks a row (the strict xfail
-    ``tests/test_linsolve.py::test_nullspace_vectors_solve_every_row``).
 
-    A column index maps each column to the pivots whose rows hold it, so a
-    new pivot visits only those rows; it is kept exact where
-    ``sub_scaled`` adds or cancels an entry.
-    """
-    pivots: dict[int, dict[int, Fraction]] = {}
+def _primitive(row: dict) -> None:
+    """Divide the entries of ``row`` by their gcd, in place."""
+    g = gcd(*row.values())
+    if g > 1:
+        for c in row:
+            row[c] //= g
+
+
+def _integer_rref(rows) -> dict[int, dict[int, int]]:
+    """``sparse_rref`` in integers: each pivot row's entries are its values
+    times its entry at its own pivot."""
+    pivots: dict[int, dict[int, int]] = {}
     holders: dict[int, set[int]] = {}
     for raw in rows:
-        row = {c: v for c, v in raw.items() if v != 0}
+        den = lcm(*[v.denominator for v in raw.values()])
+        row = {c: v.numerator * (den // v.denominator) for c, v in raw.items() if v}
         while row:
+            _primitive(row)
             col = min(row)
             if col not in pivots:
                 break
-            sub_scaled(row, pivots[col], row.pop(col), col)
+            _eliminate(row, pivots[col], row.pop(col), col)
         if not row:
             continue
-        col = min(row)
-        inv = Fraction(1) / row[col]
-        row = {c: v * inv for c, v in row.items()}
         for pcol in holders.pop(col, ()):
             prow = pivots[pcol]
-            sub_scaled(prow, row, prow.pop(col), col)
+            _eliminate(prow, row, prow.pop(col), col)
+            _primitive(prow)
             for c in row:
                 if c in prow:
                     holders.setdefault(c, set()).add(pcol)
@@ -203,6 +227,34 @@ def sparse_rref(rows) -> dict[int, dict[int, Fraction]]:
     return pivots
 
 
+def sparse_rref(rows) -> dict[int, dict[int, Fraction]]:
+    """Row-echelon form, returned as ``pivot_col -> row`` in order of pivot.
+
+    ``rows`` map columns to ``Fraction``s or ``int``s; the returned rows
+    hold ``Fraction``s.  Every returned row has coefficient 1 at its pivot
+    column, and a new pivot is back-substituted into every stored row, so no
+    row holds a pivot made after it.  But a new row is reduced only until
+    its smallest column is not a pivot, so it can keep an earlier pivot
+    column: the form is not fully reduced, and ``nullspace`` can return a
+    vector that breaks a row (the strict xfail
+    ``tests/test_linsolve.py::test_nullspace_vectors_solve_every_row``).
+
+    The elimination is fraction-free (cf. Bareiss 1968), over integer rows.
+    Each input row is scaled by the lcm of its denominators.  A new row is
+    reduced up to scale, divided by its content after each step, because
+    scaling a row scales its reduction.  A stored row is exact as integers
+    over one denominator, its own entry at its pivot: it holds no column
+    left of its pivot, and a new row back-substituted into it has its pivot
+    at a column the stored row holds and no entry left of that, so the
+    entry at the stored row's pivot never changes.  The stored row is
+    divided by its content after each change.  A column index maps each
+    column to the pivots whose rows hold it, so a new pivot visits only
+    those rows.
+    """
+    return {pcol: {c: Fraction(n, prow[pcol]) for c, n in prow.items()}
+            for pcol, prow in _integer_rref(rows).items()}
+
+
 def nullspace(rows, ncols: int) -> list[list[Fraction]]:
     """One solution vector per free column of ``sparse_rref(rows)``.
 
@@ -211,16 +263,18 @@ def nullspace(rows, ncols: int) -> list[list[Fraction]]:
     free column index, which makes the result reproducible.  It is a basis
     of the solution space only when the rows are fully reduced, which
     ``sparse_rref`` does not guarantee (see there).  One pass over the
-    pivot rows' entries fills every vector.
+    integer pivot rows fills every vector, with a ``Fraction`` built only
+    for an entry at a free column.
     """
-    pivots = sparse_rref(rows)
+    pivots = _integer_rref(rows)
     basis = {free: [Fraction(0)] * ncols for free in range(ncols) if free not in pivots}
     for free, vec in basis.items():
         vec[free] = Fraction(1)
     for pcol, prow in pivots.items():
-        for c, v in prow.items():
+        lead = prow[pcol]
+        for c, n in prow.items():
             if (vec := basis.get(c)) is not None:
-                vec[pcol] = -v
+                vec[pcol] = Fraction(-n, lead)
     return list(basis.values())
 
 

@@ -124,17 +124,25 @@ def _unpack(ctx: PhaseContext, acc: Mapping[int, int], layout: Struct, den: int)
     })
 
 
+def _tagged(acc: Mapping[int, int], layout: Struct) -> list[tuple[int, Expvec, int]]:
+    """``(tag, exponents, numerator)`` for each nonzero entry of ``acc``, whose
+    keys carry a tag (``_pack``)."""
+    size, unpack, shift = layout.size, layout.unpack, 8 * layout.size
+    out = []
+    for key, num in acc.items():
+        if num:
+            u = key >> shift
+            out.append((u, unpack((key - (u << shift)).to_bytes(size, "little")), num))
+    return out
+
+
 def _unpack_blocks(acc: Mapping[int, int], layout: Struct,
                    dens: list[int]) -> list[dict[Expvec, Fraction]]:
     """Per tag ``u``, the terms ``acc[key] / dens[u] * x^key`` whose keys
     carry tag ``u`` (``_pack``), as a term dict ``PhasePoly._build`` takes."""
-    size, unpack, shift = layout.size, layout.unpack, 8 * layout.size
     blocks: list[dict[Expvec, Fraction]] = [{} for _ in dens]
-    for key, num in acc.items():
-        if num:
-            u = key >> shift
-            exps = unpack((key - (u << shift)).to_bytes(size, "little"))
-            blocks[u][exps] = Fraction(num, dens[u])
+    for u, exps, num in _tagged(acc, layout):
+        blocks[u][exps] = Fraction(num, dens[u])
     return blocks
 
 

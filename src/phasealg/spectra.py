@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Sequence
@@ -166,7 +167,9 @@ def tabulated_potential(
 
 def read_tabulated(path, mass: float = 1.0, grid: int = 2000) -> PotentialSpec:
     """Two whitespace-separated columns (position, value); '#' comments ok."""
-    data = np.loadtxt(path, dtype=float)
+    with warnings.catch_warnings():   # the check below reports an empty file
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        data = np.loadtxt(path, dtype=float)
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2:
         raise ValueError("tabulated potential file needs two columns")
     return tabulated_potential(data[:, 0], data[:, 1], mass=mass, grid=grid)
@@ -259,7 +262,8 @@ def fd_eigen_1d(spec: PotentialSpec, count: int) -> np.ndarray:
         raise ValueError(f"count must be in [1, {interior}], got {count}")
     h = spec.spacing
     x = spec.a + h * np.arange(1, spec.grid - 1)
-    v = np.asarray(spec.sample(x), dtype=float)
+    with np.errstate(all="ignore"):   # the check below reports an overflow
+        v = np.asarray(spec.sample(x), dtype=float)
     if not np.isfinite(v).all():
         raise ValueError("potential evaluates to non-finite values")
     inv = 1.0 / (spec.mass * h * h)
@@ -291,6 +295,14 @@ def internal_spectrum(spec: PotentialSpec, count: int) -> SpectrumReport:
     )
 
 
+def _shifted(level: float, shift: float, name: str) -> float:
+    """``level + shift``, refused unless it is a finite energy."""
+    energy = level + shift
+    if not math.isfinite(energy):
+        raise ValueError(f"internal level {level!r} plus {name} {shift!r} is not a finite energy")
+    return energy
+
+
 def composite_spectrum(
     internal: Sequence[float], cm, mode: str, count: int | None = None
 ) -> SpectrumReport:
@@ -299,7 +311,9 @@ def composite_spectrum(
     mode "composite-spurious": ``cm`` is a box-cm SpectrumReport; every
     internal level is replicated by the whole box ladder (labels are
     (internal index, box quantum numbers)).  mode "composite-right": ``cm``
-    is a plain offset; exactly one level per internal level.
+    is a plain offset; exactly one level per internal level.  A level that
+    is not a finite energy is refused with a ``ValueError`` naming its
+    internal level and its offset or box level.
     """
     internal = [float(e) for e in internal]
     if not internal:
@@ -308,7 +322,7 @@ def composite_spectrum(
         offset = float(cm)
         return SpectrumReport(
             mode=mode,
-            levels=_levels([(offset + e, (i,)) for i, e in enumerate(internal)]),
+            levels=_levels([(_shifted(e, offset, "offset"), (i,)) for i, e in enumerate(internal)]),
             offset=offset,
             metadata={"internal_count": len(internal)},
         )
@@ -317,7 +331,8 @@ def composite_spectrum(
             raise ValueError("composite-spurious needs a box-cm report")
         if count is not None and count < 1:
             raise ValueError("count must be positive")
-        pairs = [(e + lv.energy, (i, lv.n)) for i, e in enumerate(internal) for lv in cm.levels]
+        pairs = [(_shifted(e, lv.energy, "box level"), (i, lv.n))
+                 for i, e in enumerate(internal) for lv in cm.levels]
         return SpectrumReport(
             mode=mode,
             levels=_levels(pairs, count=count),

@@ -368,6 +368,46 @@ def test_spectrum_internal_omega_square_must_be_finite(capsys):
     assert err == "error: omega 1e+200 must have a finite square\n"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, message", [
+    (["--potential", "harmonic", "--omega", "1e154", "--grid", "100", "--count", "2"],
+     "potential evaluates to non-finite values"),
+    (["--potential", "coulomb", "--kappa", "1e308", "--rmin", "1e-10"],
+     "potential evaluates to non-finite values"),
+    (["--potential", "tabulated", "--table", "{empty}"],
+     "tabulated potential file needs two columns"),
+], ids=["harmonic-overflow", "coulomb-overflow", "empty-table"])
+def test_spectrum_internal_error_is_all_of_stderr(argv, message, tmp_path, capsys):
+    """A potential that overflows on the grid, or an empty table, exits 2
+    with one error line and nothing before it: numpy's overflow warnings and
+    loadtxt's empty-input warning are silenced (here every warning is an
+    error), because the checks that follow report each case."""
+    empty = tmp_path / "empty.dat"
+    empty.write_text("")
+    assert main(["spectrum", "internal", *(a.format(empty=empty) for a in argv)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--mode", "right", "--internal", "1e308", "--f", "1e308"],
+     "internal level 1e+308 plus offset 1e+308 is not a finite energy"),
+    (["--mode", "spurious", "--internal", "1.7e308", "--mass", "1.5e-307", "--side", "1",
+      "--nmax", "1"],
+     "internal level 1.7e+308 plus box level 9.869604401089359e+307 is not a finite energy"),
+], ids=["right", "spurious"])
+def test_spectrum_composite_refuses_non_finite_level(argv, message, capsys):
+    """A composite level that overflows exits 2 with an error naming the
+    internal level and the offset or box level, and writes no report.
+    (Once: exit 2 with json's "Out of range float values are not JSON
+    compliant: inf".)"""
+    assert main(["spectrum", "composite", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 NON_FINITE_OPTIONS = [
     (["spectrum", "box"], "--mass"),
     (["spectrum", "box"], "--side"),

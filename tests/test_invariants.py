@@ -275,6 +275,15 @@ def _bracket_rows(terms, closure):
     return rows
 
 
+def _exact_rows(terms, closure):
+    """``_rows`` read back exactly: each integer entry over the denominator
+    of its row's seed."""
+    rows, dens = invariants._rows(terms, closure)
+    assert all(type(n) is int for row in rows.values() for n in row.values())
+    return {key: {u: Fraction(n, dens[key[0]]) for u, n in row.items()}
+            for key, row in rows.items()}
+
+
 ROW_ORDER_CASES = {
     "cm": (lambda: cm_closure(total_mass=3, x0=Fraction(-2, 5)), range(1, 6)),
     "nsphere": (lambda: sphere_closure(m=Fraction(2, 3), r0=5), range(1, 6)),
@@ -300,9 +309,10 @@ def _casimir_terms(closure, monkeypatch):
 @pytest.mark.parametrize("name", sorted(ROW_ORDER_CASES))
 def test_rows_match_bracket_rows(name, monkeypatch):
     """``_rows`` for the centre ansatz at each degree and for the Casimir
-    ansatz equals the per-bracket reference key for key, value for value
-    and in insertion order (``nullspace`` depends on the order), and takes
-    no single bracket: every row comes from the batched kernel."""
+    ansatz, each integer read over its seed's denominator, equals the
+    per-bracket reference key for key, value for value and in insertion
+    order (``nullspace`` depends on the order), and takes no single
+    bracket: every row comes from the batched kernel."""
     build, degrees = ROW_ORDER_CASES[name]
     cl = build()
     ansatzes = [
@@ -323,7 +333,7 @@ def test_rows_match_bracket_rows(name, monkeypatch):
         with monkeypatch.context() as m:
             for fn in ("poisson_bracket", "moyal_bracket"):
                 m.setattr(brackets, fn, spy(getattr(brackets, fn)))
-            rows = invariants._rows(terms, cl)
+            rows = _exact_rows(terms, cl)
         assert single == []
         assert list(rows) == list(expected)
         assert [list(r.items()) for r in rows.values()] == [
@@ -360,8 +370,9 @@ SHARED_LAYOUT_CASES = {
 @pytest.mark.parametrize("name", sorted(SHARED_LAYOUT_CASES))
 def test_shared_layout_rows_match_per_seed_blocks(name):
     """One layout for every seed gives the rows that a walk per seed in its
-    own layout gives, key for key, value for value and in insertion order,
-    also where the seeds' own layouts differ in field width."""
+    own layout gives, key for key, value for value (each integer read over
+    its seed's denominator) and in insertion order, also where the seeds'
+    own layouts differ in field width."""
     cl = SHARED_LAYOUT_CASES[name]()
     seeds = [e.poly for e in cl.basis if not e.is_identity and e.name in cl.seed_names]
     for degree in (1, 2, 3):
@@ -370,7 +381,7 @@ def test_shared_layout_rows_match_per_seed_blocks(name):
             widths = {_layout([x + y for x, y in zip(_maxima(*terms), _maxima(s))]).size
                       for s in seeds}
             assert len(widths) == 2
-        rows, expected = invariants._rows(terms, cl), _seed_block_rows(terms, cl)
+        rows, expected = _exact_rows(terms, cl), _seed_block_rows(terms, cl)
         assert list(rows) == list(expected)
         assert [list(r.items()) for r in rows.values()] == [
             list(r.items()) for r in expected.values()]

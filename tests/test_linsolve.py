@@ -65,12 +65,26 @@ def _scan_nullspace(rows, ncols):
     return basis
 
 
+BIG = 2 ** 300
+ENTRIES = {
+    "fractions": st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    "ints": st.integers(-5, 5),
+    "big": st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
+}
+# ~300-bit rationals, mixed with ints and small fractions in one row
+B1, B2 = Fraction(3 ** 189, 5 ** 129), Fraction(-(7 ** 106), BIG + 1)
+B3 = Fraction(BIG - 1, 3 ** 188)
+
+
 @st.composite
 def sparse_systems(draw):
     """Rows of 1-3 entries (zeros among them) over up to 60 columns, with
-    copies of earlier rows and zero rows inserted."""
+    copies of earlier rows and zero rows inserted.  The entries of one
+    system are small fractions, plain ints, rationals of up to 300 bits, or
+    a mix of the three."""
     ncols = draw(st.integers(1, 60))
-    entries = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    kind = draw(st.sampled_from([*ENTRIES, "mixed"]))
+    entries = st.one_of(*ENTRIES.values()) if kind == "mixed" else ENTRIES[kind]
     row = st.dictionaries(st.integers(0, ncols - 1), entries, min_size=1, max_size=3)
     rows = draw(st.lists(row, max_size=40))
     for pos, copy, col in draw(st.lists(
@@ -85,15 +99,26 @@ def sparse_systems(draw):
 @given(sparse_systems())
 @example(([{1: Fraction(1), 3: Fraction(2)}, {0: Fraction(1), 1: Fraction(1)}], 4))
 @example(([{}, {2: Fraction(0)}, {0: Fraction(1)}, {0: Fraction(1)}], 3))
+@example(([{1: 1, 3: 2}, {0: 1, 1: 1}, {0: 0}, {2: 3, 3: -6}, {1: 4, 2: 2}], 4))
+@example(([{2: B1, 4: B2}, {1: B3, 2: B2, 3: B1}, {0: B2, 1: B1, 4: B3},
+           {3: B3, 4: B1}, {0: B1, 2: B3}], 5))
+@example(([{2: B1, 4: 3}, {1: Fraction(-2, 3), 2: 5, 3: B3}, {0: 7, 1: B2},
+           {3: 1, 4: Fraction(1, 6)}, {0: B2, 2: -1, 4: B1}], 5))
 def test_indexed_elimination_equals_full_scan(system):
-    """The column index and the one-pass read change no output: the pivot
-    dicts agree in key order and values, inner rows included, and so do
-    the vector lists (the defect they share is left in place)."""
+    """The column index, the one-pass read and the integer elimination
+    change no output: the pivot dicts agree in key order and values, inner
+    rows included, and so do the vector lists (the defect they share is
+    left in place).  Every entry returned is a ``Fraction``, also for
+    ``int`` input: a bare ``int`` would be written to a report as a JSON
+    number, not a string."""
     rows, ncols = system
     got, want = sparse_rref(rows), _scan_sparse_rref(rows)
     assert [(c, list(r.items())) for c, r in got.items()] == [
         (c, list(r.items())) for c, r in want.items()]
-    assert nullspace(rows, ncols) == _scan_nullspace(rows, ncols)
+    vectors = nullspace(rows, ncols)
+    assert vectors == _scan_nullspace(rows, ncols)
+    assert all(type(v) is Fraction for r in got.values() for v in r.values())
+    assert all(type(v) is Fraction for vec in vectors for v in vec)
 
 
 def _identity(n):
