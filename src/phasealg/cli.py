@@ -10,13 +10,18 @@ writes it, to stdout or to ``-o``, and returns its ``exit_code``.  A failure
 raised as an exception writes no report.  ``main`` may be called many times
 in one process; it builds its parser once, at first use, not at import.
 
+Only the ``spectrum`` commands import the float layer (``spectra``, and with
+it numpy and scipy), when they run; the exact commands start without it.
+
 Exit codes: 0 success, 2 input error, 3 algebra does not close (the report
 is still written, with diagnostics), 4 I/O failure, 5 out of memory.
 
 The environment variable PHASEALG_MAX_MEMORY_MB, when set, caps the address
 space of the process before any exact arithmetic starts; a runaway closure
 then ends with exit 5 and "error: out of memory" on stderr, naming the
-cap, instead of taking the machine down.  No report is written.
+cap, instead of taking the machine down.  No report is written.  The cap is
+set after the arguments are parsed, and for a ``spectrum`` command after the
+float layer is imported, so what numpy and scipy map counts against it.
 """
 
 from __future__ import annotations
@@ -50,15 +55,6 @@ from .separation import (
     separate_hamiltonian,
     two_body_transform,
     verify_canonical,
-)
-from .spectra import (
-    box_potential,
-    box_spectrum,
-    composite_spectrum,
-    coulomb_potential,
-    harmonic_potential,
-    internal_spectrum,
-    read_tabulated,
 )
 
 _DEFAULT_OPTIONS = {
@@ -320,7 +316,10 @@ def _spectrum_report(rep, command: str) -> dict:
 
 
 def cmd_spectrum_box(args) -> dict:
-    return _spectrum_report(box_spectrum(args.mass, args.side, args.nmax), "spectrum box")
+    from . import spectra
+
+    return _spectrum_report(spectra.box_spectrum(args.mass, args.side, args.nmax),
+                            "spectrum box")
 
 
 # What each potential of ``spectrum internal`` reads, with the defaults,
@@ -340,6 +339,8 @@ def _refuse_unread(args, names, where: str) -> None:
 
 
 def _potential_from_args(args):
+    from . import spectra
+
     reads = _POTENTIAL_OPTIONS[args.potential]
     every = dict.fromkeys(name for options in _POTENTIAL_OPTIONS.values() for name in options)
     _refuse_unread(args, [name for name in every if name not in reads],
@@ -347,35 +348,39 @@ def _potential_from_args(args):
     opt = {name: default if getattr(args, name) is None else getattr(args, name)
            for name, default in reads.items()}
     if args.potential == "harmonic":
-        return harmonic_potential(opt["omega"], mass=args.mass, domain=opt["domain"],
-                                  grid=args.grid)
+        return spectra.harmonic_potential(opt["omega"], mass=args.mass, domain=opt["domain"],
+                                          grid=args.grid)
     if args.potential == "box":
-        return box_potential(opt["side"], mass=args.mass, grid=args.grid)
+        return spectra.box_potential(opt["side"], mass=args.mass, grid=args.grid)
     if args.potential == "coulomb":
-        return coulomb_potential(opt["kappa"], opt["rmin"], mass=args.mass, domain=opt["domain"],
-                                 grid=args.grid)
+        return spectra.coulomb_potential(opt["kappa"], opt["rmin"], mass=args.mass,
+                                         domain=opt["domain"], grid=args.grid)
     if not opt["table"]:
         raise ValueError("--potential tabulated needs --table PATH")
-    return read_tabulated(opt["table"], mass=args.mass, grid=args.grid)
+    return spectra.read_tabulated(opt["table"], mass=args.mass, grid=args.grid)
 
 
 def cmd_spectrum_internal(args) -> dict:
-    rep = internal_spectrum(_potential_from_args(args), args.count)
+    from . import spectra
+
+    rep = spectra.internal_spectrum(_potential_from_args(args), args.count)
     return _spectrum_report(rep, "spectrum internal")
 
 
 def cmd_spectrum_composite(args) -> dict:
+    from . import spectra
+
     if args.mode == "right":
         _refuse_unread(args, ["count", "side", "nmax", "mass"], "--mode right")
         if args.f is None:
             raise ValueError("composite right mode needs --f")
-        rep = composite_spectrum(args.internal, args.f, "composite-right")
+        rep = spectra.composite_spectrum(args.internal, args.f, "composite-right")
     else:
         _refuse_unread(args, ["f"], "--mode spurious")
         if args.mass is None or args.side is None:
             raise ValueError("composite spurious mode needs --mass and --side")
-        cm = box_spectrum(args.mass, args.side, 3 if args.nmax is None else args.nmax)
-        rep = composite_spectrum(
+        cm = spectra.box_spectrum(args.mass, args.side, 3 if args.nmax is None else args.nmax)
+        rep = spectra.composite_spectrum(
             args.internal, cm, "composite-spurious", count=args.count
         )
     return _spectrum_report(rep, "spectrum composite")
@@ -573,12 +578,22 @@ def _apply_memory_cap() -> None:
 
 
 def main(argv=None) -> int:
+    """Run one command (``argv`` defaults to ``sys.argv[1:]``) and return its
+    exit code.
+
+    The arguments are parsed before the memory cap is set.  A ``spectrum``
+    command then imports the float layer, and with it numpy and scipy, still
+    before the cap: the address space they map counts against the cap, and
+    no import can fail under it.  No other command loads them.
+    """
     try:
-        _apply_memory_cap()
         args = build_parser().parse_args(argv)
         command = args.command
         if command == "spectrum":
+            from . import spectra  # noqa: F401  (loaded before the cap, see above)
+
             command += "_" + args.spectrum_command
+        _apply_memory_cap()
         report = globals()["cmd_" + command](args)
         _emit(report, args.output)
         return report["exit_code"]

@@ -35,6 +35,10 @@ from scipy.linalg import eigh_tridiagonal
 
 REL_DEGENERACY = 1e-12
 
+# The most levels a box ladder, or a spurious composite (internal levels
+# times box levels), may have.
+MAX_BOX_LEVELS = 100_000
+
 
 @dataclass(frozen=True)
 class BoxLevel:
@@ -228,15 +232,18 @@ def box_energy(mass: float, length: float, n: tuple[int, int, int]) -> float:
 def box_spectrum(mass: float, length: float, n_max: int) -> SpectrumReport:
     """All cubic-box levels with quantum numbers up to n_max, grouped.
 
-    Raises ``ValueError`` when the levels leave the range of normal floats:
-    when ``2 * mass * length**2`` underflows to 0, when the top level
-    overflows, or when the ground level underflows (degeneracies would be
-    lost to rounding).
+    Raises ``ValueError`` when the ladder's n_max^3 levels are more than
+    ``MAX_BOX_LEVELS``, checked before any level is built, and when the
+    levels leave the range of normal floats: when ``2 * mass * length**2``
+    underflows to 0, when the top level overflows, or when the ground level
+    underflows (degeneracies would be lost to rounding).
     """
     if not mass > 0 or not length > 0:
         raise ValueError("mass and box side must be positive")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    if n_max**3 > MAX_BOX_LEVELS:
+        raise ValueError(f"box ladder needs {n_max**3} levels, cap is {MAX_BOX_LEVELS}")
     if not (2.0 * mass * length * length > 0
             and box_energy(mass, length, (1, 1, 1)) >= sys.float_info.min
             and math.isfinite(box_energy(mass, length, (n_max,) * 3))):
@@ -256,6 +263,11 @@ def fd_eigen_1d(spec: PotentialSpec, count: int) -> np.ndarray:
     Symmetric tridiagonal matrix over the grid interior, solved by Sturm
     bisection (LAPACK stebz) to absolute tolerance 1e-10; only the energies
     are computed, no eigenvectors.
+
+    The off-diagonal entries are nonzero, so every eigenvalue is simple.  Two
+    adjacent levels within ``REL_DEGENERACY`` of each other mean float64 has
+    lost their splitting (a well too deep for its width); that is refused
+    with a ``ValueError`` naming the potential and the two levels.
     """
     interior = spec.grid - 2
     if not 1 <= count <= interior:
@@ -269,7 +281,7 @@ def fd_eigen_1d(spec: PotentialSpec, count: int) -> np.ndarray:
     inv = 1.0 / (spec.mass * h * h)
     diag = inv + v
     off = np.full(interior - 1, -0.5 * inv)
-    return np.asarray(eigh_tridiagonal(
+    levels = np.asarray(eigh_tridiagonal(
         diag,
         off,
         eigvals_only=True,
@@ -278,6 +290,15 @@ def fd_eigen_1d(spec: PotentialSpec, count: int) -> np.ndarray:
         lapack_driver="stebz",
         tol=1e-10,
     ))
+    lower, upper = levels[:-1], levels[1:]
+    with np.errstate(over="ignore"):   # a gap past the float range merges nothing
+        merged = upper - lower <= REL_DEGENERACY * np.maximum(np.abs(lower), np.abs(upper))
+    if merged.any():
+        i = int(np.argmax(merged))
+        raise ValueError(
+            f"{spec.kind} potential: levels {float(lower[i])!r} and {float(upper[i])!r}"
+            " agree to float64 rounding, so their splitting is lost")
+    return levels
 
 
 def internal_spectrum(spec: PotentialSpec, count: int) -> SpectrumReport:
@@ -310,9 +331,10 @@ def composite_spectrum(
 
     mode "composite-spurious": ``cm`` is a box-cm SpectrumReport; every
     internal level is replicated by the whole box ladder (labels are
-    (internal index, box quantum numbers)).  mode "composite-right": ``cm``
-    is a plain offset; exactly one level per internal level.  A level that
-    is not a finite energy is refused with a ``ValueError`` naming its
+    (internal index, box quantum numbers)); more than ``MAX_BOX_LEVELS``
+    such pairs are refused before any is built.  mode "composite-right":
+    ``cm`` is a plain offset; exactly one level per internal level.  A level
+    that is not a finite energy is refused with a ``ValueError`` naming its
     internal level and its offset or box level.
     """
     internal = [float(e) for e in internal]
@@ -331,6 +353,9 @@ def composite_spectrum(
             raise ValueError("composite-spurious needs a box-cm report")
         if count is not None and count < 1:
             raise ValueError("count must be positive")
+        if (size := len(internal) * len(cm.levels)) > MAX_BOX_LEVELS:
+            raise ValueError(f"spurious composite needs {size} levels ({len(internal)} internal"
+                             f" x {len(cm.levels)} box), cap is {MAX_BOX_LEVELS}")
         pairs = [(_shifted(e, lv.energy, "box level"), (i, lv.n))
                  for i, e in enumerate(internal) for lv in cm.levels]
         return SpectrumReport(

@@ -408,6 +408,25 @@ def test_spectrum_composite_refuses_non_finite_level(argv, message, capsys):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["internal", "--potential", "coulomb", "--kappa", "1e17", "--rmin", "0.1", "--count", "3"],
+     "coulomb potential: levels -9.999999999999999e+17 and -9.999999999999996e+17 agree to"
+     " float64 rounding, so their splitting is lost"),
+    (["box", "--nmax", "47"], "box ladder needs 103823 levels, cap is 100000"),
+    (["composite", "--mode", "spurious", "--internal", "1,2", "--mass", "1", "--side", "1",
+      "--nmax", "37"],
+     "spurious composite needs 101306 levels (2 internal x 50653 box), cap is 100000"),
+], ids=["fd-levels-merged", "box-over-cap", "spurious-over-cap"])
+def test_spectrum_refuses_what_float64_or_the_level_cap_cannot_hold(argv, message, capsys):
+    """Levels of a well so deep that float64 merges them exit 2, not 0 with
+    distinct levels in one degeneracy group; a box ladder or spurious
+    composite just past ``MAX_BOX_LEVELS`` exits 2 before it is built."""
+    assert main(["spectrum", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 NON_FINITE_OPTIONS = [
     (["spectrum", "box"], "--mass"),
     (["spectrum", "box"], "--side"),
@@ -725,6 +744,67 @@ def test_parser_is_built_once_and_not_at_import():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
     assert done.stdout == "0\n"
+
+
+def _fresh_interpreter(probe: str, *args: str, **env: str) -> dict:
+    """The JSON that ``probe`` prints, run with ``args`` in a new interpreter
+    that imports ``phasealg`` from this checkout (numpy is loaded here)."""
+    src = str(Path(__file__).parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src, **env}, check=True, timeout=120)
+    return json.loads(done.stdout)
+
+
+EXACT_START_PROBE = """
+import json, sys
+import phasealg, phasealg.cli as cli
+for name in ("nsphere", "cm", "quartic"):
+    cli.load_problem(name)
+commands = (["close", "cm"], ["invariants", "cm", "--center"],
+            ["separate", "--masses", "1,2", "--dim", "3"])
+codes = [cli.main([*argv, "-o", f"{sys.argv[1]}/{i}.json"]) for i, argv in enumerate(commands)]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+listed = "fd_eigen_1d" in dir(phasealg)
+from phasealg import fd_eigen_1d
+print(json.dumps({"codes": codes, "loaded": loaded, "listed": listed,
+                  "home": fd_eigen_1d.__module__}))
+"""
+
+
+def test_exact_commands_start_without_numpy_and_scipy(tmp_path):
+    """Importing the package and the CLI, loading the bundled problems and
+    running the exact commands loads neither numpy nor scipy; the float
+    layer's names are still listed by ``dir`` and importable from the
+    package."""
+    seen = _fresh_interpreter(EXACT_START_PROBE, str(tmp_path))
+    assert seen == {"codes": [0, 0, 0], "loaded": [], "listed": True,
+                    "home": "phasealg.spectra"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["0.json", "1.json", "2.json"]
+
+
+CAP_ORDER_PROBE = """
+import json, resource, sys
+from phasealg.cli import main
+loaded = []
+resource.setrlimit = lambda kind, pair: loaded.append("scipy.linalg" in sys.modules)
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "loaded": loaded}))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "internal"],
+    ["spectrum", "box"],
+    ["spectrum", "composite", "--mode", "spurious", "--internal", "1", "--mass", "1",
+     "--side", "1"],
+], ids=["internal", "box", "composite"])
+def test_spectrum_loads_the_float_layer_before_the_memory_cap(argv, tmp_path):
+    """A ``spectrum`` command imports numpy and scipy before the memory cap
+    is set, so no import runs under the cap: imported under a small cap,
+    they end in an ``ImportError`` or OpenBLAS's ``pthread_create failed``."""
+    seen = _fresh_interpreter(CAP_ORDER_PROBE, *argv, "-o", str(tmp_path / "report.json"),
+                              PHASEALG_MAX_MEMORY_MB="512")
+    assert seen == {"code": 0, "loaded": [True]}
 
 
 def test_cached_parser_shares_no_state_between_calls(capsys):

@@ -17,6 +17,7 @@ from phasealg import (
     internal_spectrum,
     tabulated_potential,
 )
+from phasealg.spectra import MAX_BOX_LEVELS, BoxLevel, SpectrumReport
 
 
 def well_energy(mass, length, n):
@@ -78,6 +79,18 @@ def test_box_spectrum_validation():
     for mass, side in ((1, 1e-150), (1e300, 1e2)):
         levels = box_spectrum(mass, side, 2).energies()
         assert all(math.isfinite(e) and e >= sys.float_info.min for e in levels)
+
+
+def test_box_and_spurious_ladders_are_capped_before_they_are_built():
+    """n_max^3 box levels, or internal x box composite levels, past
+    ``MAX_BOX_LEVELS`` are refused; the composite check reads only the
+    counts, so a ladder of one shared level stands in for a real one."""
+    assert MAX_BOX_LEVELS == 100_000
+    with pytest.raises(ValueError, match="box ladder needs 103823 levels, cap is 100000"):
+        box_spectrum(1, 1, 47)
+    ladder = SpectrumReport("box-cm", (BoxLevel((1, 1, 1), 1.0, 0),) * 50_001)
+    with pytest.raises(ValueError, match=r"needs 100002 levels \(2 internal x 50001 box\)"):
+        composite_spectrum([0.0, 1.0], ladder, "composite-spurious")
 
 
 def test_potential_spec_validation():
@@ -168,6 +181,18 @@ def test_fd_rejects_bad_count_and_values():
     )
     with pytest.raises(ValueError):
         fd_eigen_1d(broken, 1)
+
+
+def test_fd_refuses_levels_merged_by_rounding():
+    """A Coulomb well 1e17 deep and 0.2 wide has level splittings of a few
+    hundred, below float64 resolution at its depth: the stencil's levels are
+    simple, so levels that agree to rounding are refused, not grouped as
+    degenerate."""
+    spec = coulomb_potential(kappa=1e17, r_min=0.1, domain=(-10.0, 10.0), grid=2000)
+    with pytest.raises(ValueError, match=r"^coulomb potential: levels -9\.99+\d*e\+17 and "
+                                         r"-9\.99+\d*e\+17 agree to float64 rounding"):
+        fd_eigen_1d(spec, 3)
+    assert len(fd_eigen_1d(spec, 1)) == 1
 
 
 def test_fd_spectrum_strictly_increasing():
