@@ -54,17 +54,18 @@ left operands once, in a layout wide enough for every seed, and per seed
 packs only the seed and builds its slots and scales before its walk.  The
 invariant rows use every seed at once; the public brackets are the
 one-term, one-seed case, tag 0; ``_blocks`` is the one-seed case split
-into per-term dicts and serves closure, ``verify``, ``verify_invariant``
-and ``verify_canonical``.
+into per-term integer dicts, each over its term's denominator.  Closure and
+``verify`` reduce those integer rows as they are (``linsolve.Echelon``);
+``verify_invariant`` and ``verify_canonical`` report polynomials, so they
+turn the same blocks into ``Fraction`` terms (``poly._unpack_blocks``).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from struct import Struct
 
-from .poly import (Expvec, Packed, PhasePoly, _layout, _maxima, _pack, _product_into, _units, _unpack,
-                   _unpack_blocks)
+from .poly import (Expvec, Packed, PhasePoly, _layout, _maxima, _pack, _product_into, _tagged, _units,
+                   _unpack)
 
 
 def poisson_bracket(a: PhasePoly, b: PhasePoly) -> PhasePoly:
@@ -78,10 +79,15 @@ def moyal_bracket(a: PhasePoly, b: PhasePoly) -> PhasePoly:
 
 
 def _blocks(terms: list[PhasePoly], b: PhasePoly,
-            moyal: bool) -> list[dict[Expvec, Fraction]]:
-    """``bracket(T, b)._terms`` for each ``T`` in ``terms``, in order, from
-    one walk."""
-    return _unpack_blocks(*_series(terms, [b], moyal)[0])
+            moyal: bool) -> tuple[list[dict[Expvec, int]], list[int]]:
+    """``bracket(T, b)`` for each ``T`` in ``terms``, in order, from one walk:
+    the integer numerators of its nonzero terms, keyed by exponents, and,
+    apart, its denominator."""
+    acc, layout, dens = _series(terms, [b], moyal)[0]
+    blocks: list[dict[Expvec, int]] = [{} for _ in dens]
+    for u, exps, num in _tagged(acc, layout):
+        blocks[u][exps] = num
+    return blocks, dens
 
 
 def _series(terms: list[PhasePoly], seeds: list[PhasePoly],

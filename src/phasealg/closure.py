@@ -15,7 +15,9 @@ Pairs (i, j), i < j, go in order of j, then i, so runs are reproducible;
 closure and ``verify`` bracket ``basis[:j]`` with ``basis[j]`` in one walk
 of the kernel (``brackets._blocks``).  Both, and ``span_reduce``, reduce
 term maps through ``linsolve.Echelon``, pivoting on the graded-lex leading
-monomial.
+monomial.  Closure and ``verify`` hand it each bracket as the kernel's
+integer numerators over one denominator, so a ``Fraction`` is built only
+for a structure constant and for an admitted element.
 """
 
 from __future__ import annotations
@@ -95,8 +97,9 @@ class LieClosure:
         span = _span(self.basis)
         table: dict[tuple[int, int, int], Fraction] = {}
         for j in range(1, len(polys)):
-            for i, br in enumerate(_blocks(polys[:j], polys[j], self.bracket_kind == "moyal")):
-                coords, rem = span.reduce(br)
+            blocks, dens = _blocks(polys[:j], polys[j], self.bracket_kind == "moyal")
+            for i, (br, den) in enumerate(zip(blocks, dens)):
+                coords, rem = span.reduce(br, den)
                 if rem:
                     return False
                 table.update(((i, j, k), c) for k, c in coords.items())
@@ -197,12 +200,12 @@ def close_algebra(
 
     j = 1
     while j < len(basis):
-        blocks = _blocks([elem.poly for elem in basis[:j]], basis[j].poly, moyal)
-        for i, br in enumerate(blocks):
+        blocks, dens = _blocks([elem.poly for elem in basis[:j]], basis[j].poly, moyal)
+        for i, (br, den) in enumerate(zip(blocks, dens)):
             if (degree := max(map(sum, br), default=-1)) > max_degree:
                 reason = f"bracket degree {degree} exceeds max_degree {max_degree}"
                 raise NonClosingError(reason, (basis[i].name, basis[j].name), len(basis))
-            coords, rem = ech.reduce(br)
+            coords, rem = ech.reduce(br, den)
             if rem:
                 if len(basis) >= max_basis:
                     reason = f"basis size exceeds max_basis {max_basis}"

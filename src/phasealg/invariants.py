@@ -50,7 +50,7 @@ from .brackets import _blocks, _series
 from .closure import LieClosure
 from .errors import AnsatzTooLargeError
 from .linsolve import nullspace, sub_scaled
-from .poly import Expvec, PhasePoly, _grlex_key, _tagged
+from .poly import Expvec, PhasePoly, _grlex_key, _tagged, _unpack_blocks
 
 # The most monomials a ``find_center`` ansatz may have.
 MAX_ANSATZ_MONOMIALS = 5000
@@ -222,7 +222,8 @@ def verify_invariant(p: PhasePoly, closure: LieClosure) -> InvariantReport:
     """Bracket ``p`` against every basis element; pass iff all vanish.  One
     walk brackets the basis with ``p``: ``bracket(p, b)`` is b's block negated."""
     p.ctx.require_same(closure.ctx)
-    blocks = _blocks([elem.poly for elem in closure.basis], p, closure.bracket_kind == "moyal")
+    blocks = _unpack_blocks(*_blocks([elem.poly for elem in closure.basis], p,
+                                     closure.bracket_kind == "moyal"))
     residuals = tuple(
         (elem.name, -PhasePoly._build(closure.ctx, block))
         for elem, block in zip(closure.basis, blocks)

@@ -1,6 +1,6 @@
 """Exact linear algebra over rationals: sparse echelon forms.
 
-Rows are sparse ``{column: Fraction}`` maps.  ``Echelon`` (closure, span
+Rows are sparse ``{column: value}`` maps.  ``Echelon`` (closure, span
 reduction, ``invert``) keeps its rows fully reduced.  ``sparse_rref``
 (``nullspace``) does not: it reduces a new row only until its smallest
 column is not a pivot, so a stored row can keep another pivot column and
@@ -15,11 +15,16 @@ it, so a new pivot is back-substituted only into those rows; ``nullspace``
 reads every free vector in one pass over the pivot rows.  Both engines are
 deterministic: identical inputs give identical outputs.
 
-``Echelon.reduce`` is one integer linear combination of the stored rows, and
-both it and ``sub_scaled`` build a ``Fraction`` only per output entry, so
-the gcd that normalizes a ``Fraction`` runs once per entry, not once per
-arithmetic operation; ``sub_scaled`` with factor -1 (a sum) builds none for
-an entry new to the row, which keeps the other operand's ``Fraction``.
+``Echelon.reduce`` is one integer linear combination of the stored rows.
+It takes a row as integer numerators over one denominator, as the bracket
+kernel gives it, so closure and ``verify`` hand it each bracket with no
+``Fraction`` per term; a ``Fraction`` row (the seeds, an admitted element,
+``span_reduce``, ``invert``) is converted once, over the lcm of its
+denominators.  Both it and ``sub_scaled`` build a ``Fraction`` only per
+output entry, so the gcd that normalizes a ``Fraction`` runs once per
+entry, not once per arithmetic operation; ``sub_scaled`` with factor -1 (a
+sum) builds none for an entry new to the row, which keeps the other
+operand's ``Fraction``.
 """
 
 from __future__ import annotations
@@ -54,7 +59,9 @@ def sub_scaled(row: dict, other: Mapping, factor: Fraction, skip: Hashable = Non
 
 def _accumulate(nums: dict, dens: dict, factor: int, items: list) -> None:
     """Add ``factor * n / d`` into entry ``k`` for each ``(k, n, d)`` of ``items``;
-    entry ``k`` is ``nums[k] / dens[k]``, its denominator a running lcm."""
+    entry ``k`` is ``nums[k] / dens[k]``, its denominator a running lcm.  When
+    ``d`` divides that denominator, as it mostly does down a coordinate
+    column, the term is scaled up to it, with no gcd."""
     for k, n, d in items:
         old = dens.get(k)
         if old is None:
@@ -62,6 +69,8 @@ def _accumulate(nums: dict, dens: dict, factor: int, items: list) -> None:
             dens[k] = d
         elif old == d:
             nums[k] += factor * n
+        elif not old % d:
+            nums[k] += factor * n * (old // d)
         else:
             g = gcd(old, d)
             nums[k] = nums[k] * (d // g) + factor * n * (old // g)
@@ -76,19 +85,24 @@ class Echelon:
     ``coords`` expresses it over the keys passed to ``add``.  ``head``
     picks the pivot of a new row among its columns (default: the smallest).
 
-    Because of that form, reducing a row is one linear combination: the
-    factor for pivot ``c`` is the row's own entry there, so
+    ``reduce`` and ``add`` take a row as integer numerators over one
+    denominator ``den``, as the bracket kernel gives it
+    (``brackets._blocks``).  Without ``den`` the row holds rationals and is
+    converted once, over the lcm of their denominators.  Because of the
+    reduced form, reducing a row is one linear combination: the factor for
+    pivot ``c`` is the row's own entry there, so
 
         rem = row off the pivots - sum_c row[c] * rows[c],
         coords = sum_c row[c] * coords[c].
 
-    It is summed in integers.  Each stored row and its coordinates are also
-    kept, built on first use and dropped when ``add`` back-substitutes into
-    the row, as ``(column, numerator, denominator)`` triples.  The factors
-    share one denominator; each output entry keeps a running lcm of the
-    denominators it meets, which down one column mostly agree (across a row
-    they do not: one denominator per row grows to thousands of bits on an
-    sp(6) closure).  One ``Fraction`` is built per output entry.
+    It is summed in integers, over ``den`` times a running lcm per output
+    entry.  Each stored row and its coordinates are also kept, built on
+    first use and dropped when ``add`` back-substitutes into the row, as
+    ``(column, numerator, denominator)`` triples.  Down one column the
+    denominators mostly divide one another (across a row they do not: one
+    denominator per row grows to thousands of bits on an sp(6) closure).
+    One ``Fraction`` is built per output entry, so a row in the span costs
+    ``Fraction``s only for its coordinates.
     """
 
     def __init__(self, head: Callable[[dict], Hashable] = min):
@@ -107,42 +121,47 @@ class Echelon:
             )
         return packed
 
-    def _combine(self, row: Mapping) -> tuple[int, dict, dict, dict, dict]:
+    def _combine(self, row: Mapping, den: int | None) -> tuple[int, dict, dict, dict, dict]:
         """``reduce``'s remainder and coordinates in integers: entry ``c`` of
-        each is ``num[c] / (den * dens[c])``.  Returns
-        ``(den, rem nums, rem dens, coords nums, coords dens)``."""
+        each is ``num[c] / (den * dens[c])``.  A row of rationals (no
+        ``den``) is taken over the lcm of its denominators, zeros dropped.
+        Returns ``(den, rem nums, rem dens, coords nums, coords dens)``."""
+        if den is None:
+            den = lcm(*[v.denominator for v in row.values()])
+            row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
         rows = self.rows
-        hits = [(v, self._pack(c)) for c, v in row.items() if c in rows]
-        den = lcm(*[v.denominator for v, _ in hits])
-        rem_n, rem_d = {}, {}
-        for c, v in row.items():
-            if c not in rows:
-                rem_n[c] = v.numerator * den
-                rem_d[c] = v.denominator
+        hits = []
+        rem_n: dict = {}
+        rem_d: dict = {}
+        for c, n in row.items():
+            if c in rows:
+                hits.append((n, self._pack(c)))
+            else:
+                rem_n[c] = n
+                rem_d[c] = 1
         coords_n: dict = {}
         coords_d: dict = {}
-        for v, (prest, pcoords) in hits:
-            factor = v.numerator * (den // v.denominator)
-            _accumulate(rem_n, rem_d, -factor, prest)
-            _accumulate(coords_n, coords_d, factor, pcoords)
+        for n, (prest, pcoords) in hits:
+            _accumulate(rem_n, rem_d, -n, prest)
+            _accumulate(coords_n, coords_d, n, pcoords)
         return den, rem_n, rem_d, coords_n, coords_d
 
-    def reduce(self, row: Mapping) -> tuple[dict, dict]:
+    def reduce(self, row: Mapping, den: int | None = None) -> tuple[dict, dict]:
         """Split ``row`` into ``sum coords[key] * input[key] + rem``.
 
         ``rem`` is empty exactly when ``row`` lies in the span.
         """
-        den, rem_n, rem_d, coords_n, coords_d = self._combine(row)
+        den, rem_n, rem_d, coords_n, coords_d = self._combine(row, den)
         return ({k: Fraction(n, den * coords_d[k]) for k, n in coords_n.items() if n},
                 {c: Fraction(n, den * rem_d[c]) for c, n in rem_n.items() if n})
 
-    def add(self, row: Mapping, key: Hashable) -> bool:
+    def add(self, row: Mapping, key: Hashable, den: int | None = None) -> bool:
         """Add input ``row`` under ``key``; False if it already lies in the span.
 
         Its remainder, scaled to 1 at its pivot, is back-substituted into the
         stored rows, which keeps the form reduced.
         """
-        den, rem_n, rem_d, coords_n, coords_d = self._combine(row)
+        den, rem_n, rem_d, coords_n, coords_d = self._combine(row, den)
         rem_n = {c: n for c, n in rem_n.items() if n}
         if not rem_n:
             return False

@@ -136,14 +136,12 @@ def _tagged(acc: Mapping[int, int], layout: Struct) -> list[tuple[int, Expvec, i
     return out
 
 
-def _unpack_blocks(acc: Mapping[int, int], layout: Struct,
+def _unpack_blocks(blocks: list[Mapping[Expvec, int]],
                    dens: list[int]) -> list[dict[Expvec, Fraction]]:
-    """Per tag ``u``, the terms ``acc[key] / dens[u] * x^key`` whose keys
-    carry tag ``u`` (``_pack``), as a term dict ``PhasePoly._build`` takes."""
-    blocks: list[dict[Expvec, Fraction]] = [{} for _ in dens]
-    for u, exps, num in _tagged(acc, layout):
-        blocks[u][exps] = Fraction(num, dens[u])
-    return blocks
+    """Each block of integer numerators over its denominator in ``dens``
+    (``brackets._blocks``) as a term dict ``PhasePoly._build`` takes."""
+    return [{exps: Fraction(num, den) for exps, num in block.items()}
+            for block, den in zip(blocks, dens)]
 
 
 def _product_into(acc: dict[int, int], left: Packed, right: Packed) -> None:

@@ -25,7 +25,7 @@ from .brackets import _blocks
 from .context import PhaseContext
 from .errors import SeparationFailure
 from .linsolve import invert
-from .poly import PhasePoly, _var_exps
+from .poly import PhasePoly, _unpack_blocks, _var_exps
 from .rational import rat
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -204,7 +204,8 @@ def verify_canonical(cmap: CanonicalMap) -> CanonicalReport:
     images = cmap.new_variable_images(ctx)
     violations = []
     for i in range(ctx.nvars - 1):
-        blocks = _blocks([images[j] for j in range(i + 1, ctx.nvars)], images[i], False)
+        blocks = _unpack_blocks(*_blocks([images[j] for j in range(i + 1, ctx.nvars)],
+                                         images[i], False))
         for j, block in enumerate(blocks, i + 1):
             br = -PhasePoly._build(ctx, block)
             expected = PhasePoly.constant(ctx, 1 if j == i + ctx.dof else 0)

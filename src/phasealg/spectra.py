@@ -38,6 +38,8 @@ REL_DEGENERACY = 1e-12
 # The most levels a box ladder, or a spurious composite (internal levels
 # times box levels), may have.
 MAX_BOX_LEVELS = 100_000
+# The most points a finite-difference grid may have.
+MAX_GRID_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -83,6 +85,8 @@ class PotentialSpec:
             raise ValueError("domain must satisfy b > a")
         if self.grid < 16:
             raise ValueError("grid must be at least 16 points")
+        if self.grid > MAX_GRID_POINTS:
+            raise ValueError(f"grid of {self.grid} points, cap is {MAX_GRID_POINTS}")
         if not self.mass > 0:
             raise ValueError("mass must be positive")
         if not math.isfinite(self.omega * self.omega):

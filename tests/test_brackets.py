@@ -278,7 +278,8 @@ def test_single_walk_matches_per_k_reference():
 def test_batched_kernel_matches_single_brackets():
     """``brackets._blocks`` walks every left operand at once, each term's
     packed keys tagged with its index in a field above the top exponent
-    field; each block must be that term's own bracket, as its term dict.
+    field; each block, its nonzero integer numerators read over its
+    denominator, must be that term's own bracket, as its term dict.
     The terms are the left operands of ``kernel_cases`` (mixed denominators
     and degrees, the zero polynomial) and the constant 1, the seeds its
     right operands; at D=1 the 127/128 edge operands drive the
@@ -290,10 +291,11 @@ def test_batched_kernel_matches_single_brackets():
         rights = {id(b): b for _, b in cases}
         terms = [PhasePoly.constant(cases[0][0].ctx, 1), *lefts.values()]
         for s in rights.values():
-            assert brackets._blocks(terms, s, False) == [
-                poisson_bracket(t, s)._terms for t in terms]
-            assert brackets._blocks(terms, s, True) == [
-                moyal_bracket(t, s)._terms for t in terms]
+            for moyal, bracket in ((False, poisson_bracket), (True, moyal_bracket)):
+                blocks, dens = brackets._blocks(terms, s, moyal)
+                assert all(type(n) is int and n for block in blocks for n in block.values())
+                assert [{e: Fraction(n, den) for e, n in block.items()}
+                        for block, den in zip(blocks, dens)] == [bracket(t, s)._terms for t in terms]
 
 
 def test_moyal_walk_is_not_cubic_in_the_degree(monkeypatch):

@@ -416,11 +416,14 @@ def test_spectrum_composite_refuses_non_finite_level(argv, message, capsys):
     (["composite", "--mode", "spurious", "--internal", "1,2", "--mass", "1", "--side", "1",
       "--nmax", "37"],
      "spurious composite needs 101306 levels (2 internal x 50653 box), cap is 100000"),
-], ids=["fd-levels-merged", "box-over-cap", "spurious-over-cap"])
+    (["internal", "--potential", "harmonic", "--grid", "1000001"],
+     "grid of 1000001 points, cap is 1000000"),
+], ids=["fd-levels-merged", "box-over-cap", "spurious-over-cap", "grid-over-cap"])
 def test_spectrum_refuses_what_float64_or_the_level_cap_cannot_hold(argv, message, capsys):
     """Levels of a well so deep that float64 merges them exit 2, not 0 with
     distinct levels in one degeneracy group; a box ladder or spurious
-    composite just past ``MAX_BOX_LEVELS`` exits 2 before it is built."""
+    composite just past ``MAX_BOX_LEVELS``, and a finite-difference grid
+    just past ``MAX_GRID_POINTS``, exit 2 before they are built."""
     assert main(["spectrum", *argv]) == 2
     out, err = capsys.readouterr()
     assert out == ""

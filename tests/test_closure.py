@@ -31,8 +31,6 @@ from phasealg import (
     verify_invariant,
 )
 from phasealg.cli import load_problem
-from phasealg.linsolve import Echelon
-from phasealg.poly import _grlex_key
 
 
 def _elements(ctx, exprs):
@@ -374,16 +372,22 @@ class _ReferenceEchelon:
         assert head not in self.rows, "row not fully reduced"
         self.rows[head] = (reduced, coords)
 
+    def add_input(self, p, key):
+        """Store input ``p``'s remainder, with coordinates ``key`` minus those
+        of the span part; False if ``p`` lies in the span."""
+        coords, rem = self.reduce(p)
+        if rem.is_zero():
+            return False
+        combo = {i: -c for i, c in coords.items()}
+        combo[key] = Fraction(1)
+        self.add(rem, combo)
+        return True
+
 
 def _reference_span_reduce(p, basis):
     ech = _ReferenceEchelon()
     for j, elem in enumerate(basis):
-        coords, rem = ech.reduce(elem.poly)
-        if rem.is_zero():
-            continue
-        combo = {i: -c for i, c in coords.items()}
-        combo[j] = combo.get(j, Fraction(0)) + 1
-        ech.add(rem, combo)
+        ech.add_input(elem.poly, j)
     coords, rem = ech.reduce(p)
     return [coords.get(i, Fraction(0)) for i in range(len(basis))], rem
 
@@ -429,17 +433,20 @@ def reference_close(seeds, bracket_kind="poisson", max_basis=32, max_degree=16):
     """Closure as a FIFO queue of pairs, one public bracket per pair:
     admitting element ``idx`` queues (0, idx) ... (idx - 1, idx).  Valid
     seeds only; same basis, structure and ``NonClosingError`` contract as
-    ``close_algebra``."""
+    ``close_algebra``.  It shares no elimination code with the engine: the
+    brackets are reduced by ``_ReferenceEchelon`` in ``PhasePoly``
+    arithmetic, each element's coordinates tracked by ``add_input``, as in
+    ``_reference_span_reduce``."""
     bracket = {"poisson": poisson_bracket, "moyal": moyal_bracket}[bracket_kind]
     ctx = seeds[0].poly.ctx
     names_seen = {seed.name for seed in seeds}
     fresh = (f"g{k}" for k in itertools.count(1))
     basis, structure, queue = [], {}, deque()
-    ech = Echelon(lambda terms: max(terms, key=_grlex_key))
+    ech = _ReferenceEchelon()
 
     def admit(rem, seed=None):
-        head = max(rem, key=_grlex_key)
-        lead, identity = rem[head], not any(head)
+        head = rem.monomials()[0]
+        lead, identity = rem.coefficient(head), not any(head)
         if seed and not identity:
             elem = AlgebraElement(seed.name, seed.poly)
         else:
@@ -448,17 +455,17 @@ def reference_close(seeds, bracket_kind="poisson", max_basis=32, max_degree=16):
             else:
                 name = next(n for n in fresh if n not in names_seen)
                 names_seen.add(name)
-            scaled = PhasePoly(ctx, {e: c / lead for e, c in rem.items()})
+            scaled = PhasePoly(ctx, {e: c / lead for e, c in rem._terms.items()})
             elem = AlgebraElement(name, scaled, is_identity=identity)
         idx = len(basis)
         basis.append(elem)
-        ech.add(elem.poly._terms, idx)
+        ech.add_input(elem.poly, idx)
         queue.extend((i, idx) for i in range(idx))
         return lead
 
     for seed in seeds:
-        _, rem = ech.reduce(seed.poly._terms)
-        if rem:
+        _, rem = ech.reduce(seed.poly)
+        if not rem.is_zero():
             admit(rem, seed)
     while queue:
         i, j = queue.popleft()
@@ -468,8 +475,8 @@ def reference_close(seeds, bracket_kind="poisson", max_basis=32, max_degree=16):
             raise NonClosingError(
                 f"bracket degree {br.total_degree()} exceeds max_degree {max_degree}",
                 pair, len(basis))
-        coords, rem = ech.reduce(br._terms)
-        if rem:
+        coords, rem = ech.reduce(br)
+        if not rem.is_zero():
             if len(basis) >= max_basis:
                 reason = f"basis size exceeds max_basis {max_basis}"
                 raise NonClosingError(reason, pair, len(basis))
@@ -589,3 +596,29 @@ def test_engine_takes_no_single_bracket(monkeypatch):
     one = PhasePoly.variable(PhaseContext(1), "q1")
     brackets.poisson_bracket(one, one)
     assert calls == ["poisson_bracket"]   # the spy sees a single bracket
+
+
+def test_closure_and_verify_build_no_fraction_blocks(monkeypatch):
+    """Closure and ``verify`` reduce the kernel's integer rows as they are:
+    on the ``nsphere`` and ``cm`` closures, under both brackets, neither
+    turns a bracket into ``Fraction`` terms (``poly._unpack_blocks``), while
+    ``verify_invariant``, which reports polynomials, still does."""
+    calls = []
+
+    def spy(real):
+        def call(blocks, dens):
+            calls.append(len(blocks))
+            return real(blocks, dens)
+        return call
+
+    for name, module in list(sys.modules.items()):
+        if (name == "phasealg" or name.startswith("phasealg.")) and hasattr(module, "_unpack_blocks"):
+            monkeypatch.setattr(module, "_unpack_blocks", spy(module._unpack_blocks))
+    for problem in ("nsphere", "cm"):
+        for kind, hbar in (("poisson", 1), ("moyal", Fraction(3, 2))):
+            cl = close_algebra(_bundled_seeds(problem, hbar), bracket_kind=kind)
+            assert cl.verify()
+            assert calls == []
+            verify_invariant(cl.basis[0].poly, cl)
+            assert calls == [len(cl.basis)]
+            calls.clear()

@@ -349,9 +349,10 @@ def _seed_block_rows(terms, closure):
     for k, elem in enumerate(closure.basis):
         if elem.is_identity or elem.name not in seeds:
             continue
-        for u, block in enumerate(brackets._blocks(terms, elem.poly, moyal)):
-            for mono, coeff in sorted(block.items(), key=_grlex_item, reverse=True):
-                rows.setdefault((k, mono), {})[u] = coeff
+        blocks, dens = brackets._blocks(terms, elem.poly, moyal)
+        for u, (block, den) in enumerate(zip(blocks, dens)):
+            for mono, num in sorted(block.items(), key=_grlex_item, reverse=True):
+                rows.setdefault((k, mono), {})[u] = Fraction(num, den)
     return rows
 
 

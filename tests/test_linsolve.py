@@ -291,6 +291,60 @@ def test_echelon_matches_reference_on_big_rationals(head):
             assert ech.reduce(probes[1])[1] == {}
 
 
+DENS = (1, 2, 3, 4, 6, 12)
+
+
+@st.composite
+def integer_row_cases(draw):
+    """Up to six stored rows of small fractions over denominators that
+    divide one another or do not (``DENS``), some dependent, and a row of
+    integer numerators, negative ones and ones sharing factors with its
+    denominator among them, over ``den``."""
+    entry = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.sampled_from(DENS))
+    stored = draw(st.lists(
+        st.dictionaries(st.integers(0, 7), entry, min_size=1, max_size=4), max_size=6))
+    den = draw(st.integers(1, 12))
+    nums = draw(st.dictionaries(st.integers(0, 7), st.integers(-3 * den, 3 * den).filter(bool),
+                                max_size=6))
+    return stored, nums, den
+
+
+# Under ``head=min`` the probe hits pivots 0, 1, 2, 3 in that order.
+# Column 4 meets four branches of ``linsolve._accumulate``: a new entry
+# (1/2), an equal denominator (3/2), one the running denominator divides
+# (1/4 over 2) and one that divides it (1/2 over 4); column 5 meets one
+# that fits neither (1/2 over 3), and column 6, at 1 in the probe, 1/7.
+ACCUMULATE_BRANCHES = (
+    [{0: Fraction(1), 4: Fraction(1, 2), 5: Fraction(1, 3)},
+     {1: Fraction(1), 4: Fraction(3, 2), 5: Fraction(1, 2)},
+     {2: Fraction(1), 4: Fraction(1, 4)},
+     {3: Fraction(1), 4: Fraction(1, 2), 6: Fraction(1, 7)}],
+    {0: 4, 1: -6, 2: 9, 3: -2, 6: 3}, 6)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(integer_row_cases())
+@example(ACCUMULATE_BRANCHES)
+@example(([{0: Fraction(1, 2)}], {0: 4, 1: -4}, 4))
+@example(([], {2: -5}, 10))
+def test_integer_row_reduces_as_its_fractions(case):
+    """``reduce`` and ``add`` on integer numerators over one denominator
+    give exactly what they give on the ``Fraction`` row those make, and
+    what the reference echelon gives on it: the same coordinates, the same
+    remainder, the same stored rows after the row is added."""
+    stored, nums, den = case
+    row = {c: Fraction(n, den) for c, n in nums.items()}
+    for head in (min, max):
+        ech, ref = Echelon(head), _ReferenceEchelon(head)
+        for key, r in enumerate(stored):
+            assert ech.add(r, key) == ref.add(r, key)
+        got = ech.reduce(nums, den)
+        assert got == ech.reduce(row) == ref.reduce(row)
+        assert all(type(v) is Fraction for part in got for v in part.values())
+        assert ech.add(nums, "new", den) == ref.add(row, "new")
+        assert ech.rows == ref.rows
+
+
 def test_sub_scaled_matches_fraction_arithmetic():
     rng = random.Random(104729)
     for _ in range(200):

@@ -17,7 +17,8 @@ from phasealg import (
     internal_spectrum,
     tabulated_potential,
 )
-from phasealg.spectra import MAX_BOX_LEVELS, BoxLevel, SpectrumReport
+from phasealg import spectra
+from phasealg.spectra import MAX_BOX_LEVELS, MAX_GRID_POINTS, BoxLevel, SpectrumReport
 
 
 def well_energy(mass, length, n):
@@ -91,6 +92,19 @@ def test_box_and_spurious_ladders_are_capped_before_they_are_built():
     ladder = SpectrumReport("box-cm", (BoxLevel((1, 1, 1), 1.0, 0),) * 50_001)
     with pytest.raises(ValueError, match=r"needs 100002 levels \(2 internal x 50001 box\)"):
         composite_spectrum([0.0, 1.0], ladder, "composite-spurious")
+
+
+def test_grid_is_capped_before_any_array_is_built(monkeypatch):
+    """A grid past ``MAX_GRID_POINTS`` is refused by ``PotentialSpec``,
+    naming the grid and the cap, before numpy is touched (a tabulated spec
+    checks its columns with numpy only after); a grid at the cap passes."""
+    assert MAX_GRID_POINTS == 1_000_000
+    assert PotentialSpec(kind="box", mass=1, a=0, b=1, grid=MAX_GRID_POINTS).grid == 1_000_000
+    monkeypatch.setattr(spectra, "np", None)
+    for kind in ("harmonic", "tabulated"):
+        with pytest.raises(ValueError, match="grid of 1000001 points, cap is 1000000"):
+            PotentialSpec(kind=kind, mass=1, a=0, b=1, grid=MAX_GRID_POINTS + 1,
+                          omega=1, positions=(0.0, 1.0), values=(1.0, 2.0))
 
 
 def test_potential_spec_validation():
