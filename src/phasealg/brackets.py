@@ -48,20 +48,20 @@ One walk takes a list of left operands, packed in one layout over their
 own denominators, each term's keys tagged with its index in a field above
 the top exponent field.  The tag survives the walk: a derivative subtracts
 a unit only from a field that holds it, and B is untagged and the layout
-keeps every product's exponents inside their fields.  One set-up,
-``_series``, takes a list of right operands (seeds) too: it packs the
-left operands once, in a layout wide enough for every seed, and per seed
-packs only the seed and builds its slots and scales before its walk.  The
-invariant rows use every seed at once; the public brackets are the
-one-term, one-seed case, tag 0; ``_blocks`` is the one-seed case split
-into per-term integer dicts, each over its term's denominator.  Closure and
-``verify`` reduce those integer rows as they are (``linsolve.Echelon``);
-``verify_invariant`` and ``verify_canonical`` report polynomials, so they
-turn the same blocks into ``Fraction`` terms (``poly._unpack_blocks``).
+keeps every product's exponents inside their fields.  ``_series``, the
+only entry to the walk, takes a list of right operands (seeds) too: it
+packs the left operands once, in a layout wide enough for every seed, and
+per seed packs only the seed and builds its slots and scales.  The public
+brackets are its one-term, one-seed case.  Its other readers are here, so
+no other module sees a packed key: ``_entries`` (the invariant rows),
+``_blocks`` (integer rows for closure and ``verify``) and ``_brackets_of``
+(``bracket(a, T)`` as polynomials, for ``verify_invariant`` and
+``verify_canonical``).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from struct import Struct
 
 from .poly import (Expvec, Packed, PhasePoly, _layout, _maxima, _pack, _product_into, _tagged, _units,
@@ -78,16 +78,34 @@ def moyal_bracket(a: PhasePoly, b: PhasePoly) -> PhasePoly:
     return _unpack(a.ctx, acc, layout, den)
 
 
+def _entries(terms: list[PhasePoly], seeds: list[PhasePoly],
+             moyal: bool) -> list[tuple[list[tuple[int, Expvec, int]], list[int]]]:
+    """Per seed ``B`` in ``seeds``, in order, from one walk each (``_series``):
+    ``(u, exponents, numerator)`` for every nonzero term of
+    ``bracket(terms[u], B)``, in no fixed order, and each term's denominator."""
+    return [(_tagged(acc, layout), dens) for acc, layout, dens in _series(terms, seeds, moyal)]
+
+
 def _blocks(terms: list[PhasePoly], b: PhasePoly,
             moyal: bool) -> tuple[list[dict[Expvec, int]], list[int]]:
     """``bracket(T, b)`` for each ``T`` in ``terms``, in order, from one walk:
     the integer numerators of its nonzero terms, keyed by exponents, and,
     apart, its denominator."""
-    acc, layout, dens = _series(terms, [b], moyal)[0]
+    entries, dens = _entries(terms, [b], moyal)[0]
     blocks: list[dict[Expvec, int]] = [{} for _ in dens]
-    for u, exps, num in _tagged(acc, layout):
+    for u, exps, num in entries:
         blocks[u][exps] = num
     return blocks, dens
+
+
+def _brackets_of(a: PhasePoly, terms: list[PhasePoly], moyal: bool) -> list[PhasePoly]:
+    """``bracket(a, T)`` for each ``T`` in ``terms``, in order, from one walk of
+    ``bracket(T, a)``, each numerator negated as its ``Fraction`` is built."""
+    entries, dens = _entries(terms, [a], moyal)[0]
+    polys: list[dict[Expvec, Fraction]] = [{} for _ in dens]
+    for u, exps, num in entries:
+        polys[u][exps] = Fraction(-num, dens[u])
+    return [PhasePoly._build(a.ctx, t) for t in polys]
 
 
 def _series(terms: list[PhasePoly], seeds: list[PhasePoly],

@@ -13,8 +13,9 @@ in one process; it builds its parser once, at first use, not at import.
 Only the ``spectrum`` commands import the float layer (``spectra``, and with
 it numpy and scipy), when they run; the exact commands start without it.
 
-Exit codes: 0 success, 2 input error, 3 algebra does not close (the report
-is still written, with diagnostics), 4 I/O failure, 5 out of memory.
+Exit codes: 0 success, 2 input error (an exponent past 64 bits included),
+3 algebra does not close (the report is still written, with diagnostics),
+4 I/O failure, 5 out of memory.
 
 The environment variable PHASEALG_MAX_MEMORY_MB, when set, caps the address
 space of the process before any exact arithmetic starts; a runaway closure
@@ -600,7 +601,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse errors carry their own code
         code = exc.code
         return code if isinstance(code, int) else 2
-    except (PhaseAlgError, ValueError) as exc:
+    except (PhaseAlgError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -15,13 +15,13 @@ bracket of seeds, hence with the whole basis, under the Poisson and the
 Moyal bracket alike.  One solver assembles the homogeneous linear system
 over the rationals and returns one solution per free column of its
 echelon form (``linsolve.nullspace``, which can return a vector that
-breaks a row while its ``sparse_rref`` defect stands); ``find_center``
+breaks a row while its elimination's defect stands); ``find_center``
 checks its ansatz size against the cap before enumerating any monomial
 and builds its monomials as canonical terms, without validation.
 
 Both searches take their rows from the bracket kernel itself: one kernel
 set-up packs the ansatz once for every seed, and one walk per seed
-brackets every ansatz term with it (``brackets._series``), under either
+brackets every ansatz term with it (``brackets._entries``), under either
 bracket and at any hbar, so no bracket is taken per term.  The system is
 integer from the kernel to the nullspace: the walk's numerators, each
 scaled to one denominator per seed, are the rows, and ``nullspace``
@@ -29,10 +29,11 @@ eliminates in integers, so ``Fraction``s are built only in the solutions.
 The one contract left is row order (seed, ansatz term,
 graded-lex-descending monomial): ``_rows`` sorts each walk's unordered
 entries, because ``nullspace``'s output depends on the order while its
-``sparse_rref`` defect stands.  Each solution is scaled and summed over its
+elimination's defect stands.  Each solution is scaled and summed over its
 nonzero entries only.
 
-``verify_invariant`` stays an independent check against the full basis.
+``verify_invariant`` stays an independent check against the full basis,
+with its brackets as polynomials from one walk (``brackets._brackets_of``).
 An empty nontrivial solution set is a meaningful result: for an
 irreducible algebra the centre is spanned by the identity alone, so the
 only invariant Hamiltonian is a constant shift.
@@ -46,11 +47,11 @@ from itertools import combinations_with_replacement
 from math import comb, lcm
 from typing import Sequence
 
-from .brackets import _blocks, _series
+from .brackets import _brackets_of, _entries
 from .closure import LieClosure
 from .errors import AnsatzTooLargeError
 from .linsolve import nullspace, sub_scaled
-from .poly import Expvec, PhasePoly, _grlex_key, _tagged, _unpack_blocks
+from .poly import Expvec, PhasePoly, _grlex_key
 
 # The most monomials a ``find_center`` ansatz may have.
 MAX_ANSATZ_MONOMIALS = 5000
@@ -100,7 +101,7 @@ def _rows(terms: Sequence[PhasePoly], closure: LieClosure) -> tuple[dict, dict[i
     of ``bracket(T_u, s)``; each row maps ansatz index ``u`` to an integer,
     its coefficient times the seed's denominator ``dens[k]``.  One kernel
     set-up packs the terms once for every seed, and one walk per seed
-    brackets every term with it (``brackets._series``), under either bracket
+    brackets every term with it (``brackets._entries``), under either bracket
     and at any hbar.  The walk's numerators are read straight into the rows:
     term ``u``'s are over its own denominator, so they are scaled by
     ``dens[k]`` over it, with ``dens[k]`` the lcm of the walk's denominators.
@@ -110,17 +111,17 @@ def _rows(terms: Sequence[PhasePoly], closure: LieClosure) -> tuple[dict, dict[i
     names = set(closure.seed_names)
     seeds = [(k, elem.poly) for k, elem in enumerate(closure.basis)
              if not elem.is_identity and elem.name in names]
-    series = _series(terms, [poly for _, poly in seeds], closure.bracket_kind == "moyal")
+    walks = _entries(terms, [poly for _, poly in seeds], closure.bracket_kind == "moyal")
     rows: dict[tuple[int, Expvec], dict[int, int]] = {}
     dens: dict[int, int] = {}
-    for (k, _), (acc, layout, term_dens) in zip(seeds, series):
+    for (k, _), (entries, term_dens) in zip(seeds, walks):
         den = dens[k] = lcm(*term_dens)
         scales = [den // d for d in term_dens]
         # (-u, degree, exponents) descending is term ascending, then graded
         # lex descending; a bracket's monomials are distinct, so the sort
         # compares no numerators
         for neg_u, _, mono, num in sorted([(-u, sum(exps), exps, num) for u, exps, num
-                                           in _tagged(acc, layout)], reverse=True):
+                                           in entries], reverse=True):
             rows.setdefault((k, mono), {})[-neg_u] = num * scales[-neg_u]
     return rows, dens
 
@@ -130,7 +131,7 @@ def _solve(terms: Sequence[PhasePoly], closure: LieClosure):
 
     One integer row per (seed, output monomial), built by ``_rows`` from the
     bracket kernel in the one order ``nullspace``'s output depends on while
-    its ``sparse_rref`` defect stands; one column per ansatz term.  A row's
+    its elimination's defect stands; one column per ansatz term.  A row's
     scale changes no solution, so the rows go to ``nullspace`` as they are,
     and ``Fraction``s are built only in the solutions.  Returns, per
     nullspace vector, the vector scaled so its first nonzero entry is 1, and
@@ -219,15 +220,11 @@ def find_center(closure: LieClosure, max_total_degree: int = 2) -> CenterSolutio
 
 
 def verify_invariant(p: PhasePoly, closure: LieClosure) -> InvariantReport:
-    """Bracket ``p`` against every basis element; pass iff all vanish.  One
-    walk brackets the basis with ``p``: ``bracket(p, b)`` is b's block negated."""
+    """Bracket ``p`` against every basis element, in one walk; pass iff all
+    vanish."""
     p.ctx.require_same(closure.ctx)
-    blocks = _unpack_blocks(*_blocks([elem.poly for elem in closure.basis], p,
-                                     closure.bracket_kind == "moyal"))
-    residuals = tuple(
-        (elem.name, -PhasePoly._build(closure.ctx, block))
-        for elem, block in zip(closure.basis, blocks)
-    )
+    brs = _brackets_of(p, [elem.poly for elem in closure.basis], closure.bracket_kind == "moyal")
+    residuals = tuple((elem.name, br) for elem, br in zip(closure.basis, brs))
     return InvariantReport(
         residuals=residuals, passed=all(r.is_zero() for _, r in residuals)
     )

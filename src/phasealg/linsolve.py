@@ -1,30 +1,21 @@
 """Exact linear algebra over rationals: sparse echelon forms.
 
 Rows are sparse ``{column: value}`` maps.  ``Echelon`` (closure, span
-reduction, ``invert``) keeps its rows fully reduced.  ``sparse_rref``
-(``nullspace``) does not: it reduces a new row only until its smallest
-column is not a pivot, so a stored row can keep another pivot column and
-``nullspace`` can return a vector that breaks a row (the strict xfail
-``tests/test_linsolve.py::test_nullspace_vectors_solve_every_row``; the fix
-changes a pinned benchmark answer).  ``sparse_rref`` also takes ``int``
-rows, and eliminates in integers: each row is scaled to integers once, a
-stored row is kept over its own pivot entry, and ``Fraction``s are built
-only for what it returns (``nullspace``: only for entries at free columns).
-It keeps a column index, each column mapped to the pivots whose rows hold
-it, so a new pivot is back-substituted only into those rows; ``nullspace``
-reads every free vector in one pass over the pivot rows.  Both engines are
+reduction, ``invert``) keeps its rows fully reduced.  ``_integer_rref``,
+read only by ``nullspace``, does not (see there), so ``nullspace`` can
+return a vector that breaks a row.  Both engines reduce integer rows, and
+``_integer_row`` is the one conversion of a row of rationals.  Both are
 deterministic: identical inputs give identical outputs.
 
 ``Echelon.reduce`` is one integer linear combination of the stored rows.
 It takes a row as integer numerators over one denominator, as the bracket
 kernel gives it, so closure and ``verify`` hand it each bracket with no
 ``Fraction`` per term; a ``Fraction`` row (the seeds, an admitted element,
-``span_reduce``, ``invert``) is converted once, over the lcm of its
-denominators.  Both it and ``sub_scaled`` build a ``Fraction`` only per
-output entry, so the gcd that normalizes a ``Fraction`` runs once per
-entry, not once per arithmetic operation; ``sub_scaled`` with factor -1 (a
-sum) builds none for an entry new to the row, which keeps the other
-operand's ``Fraction``.
+``span_reduce``, ``invert``) is converted once.  Both it and ``sub_scaled``
+build a ``Fraction`` only per output entry, so the gcd that normalizes a
+``Fraction`` runs once per entry, not once per arithmetic operation;
+``sub_scaled`` with factor -1 (a sum) builds none for an entry new to the
+row, which keeps the other operand's ``Fraction``.
 """
 
 from __future__ import annotations
@@ -55,6 +46,13 @@ def sub_scaled(row: dict, other: Mapping, factor: Fraction, skip: Hashable = Non
             row[c] = new
         else:
             del row[c]
+
+
+def _integer_row(row: Mapping) -> tuple[dict, int]:
+    """A row of ``Fraction``s or ``int``s as integer numerators over the lcm
+    of its denominators, zeros dropped: ``(nums, den)``."""
+    den = lcm(*[v.denominator for v in row.values()])
+    return {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}, den
 
 
 def _accumulate(nums: dict, dens: dict, factor: int, items: list) -> None:
@@ -88,7 +86,7 @@ class Echelon:
     ``reduce`` and ``add`` take a row as integer numerators over one
     denominator ``den``, as the bracket kernel gives it
     (``brackets._blocks``).  Without ``den`` the row holds rationals and is
-    converted once, over the lcm of their denominators.  Because of the
+    converted once (``_integer_row``).  Because of the
     reduced form, reducing a row is one linear combination: the factor for
     pivot ``c`` is the row's own entry there, so
 
@@ -124,11 +122,10 @@ class Echelon:
     def _combine(self, row: Mapping, den: int | None) -> tuple[int, dict, dict, dict, dict]:
         """``reduce``'s remainder and coordinates in integers: entry ``c`` of
         each is ``num[c] / (den * dens[c])``.  A row of rationals (no
-        ``den``) is taken over the lcm of its denominators, zeros dropped.
+        ``den``) is converted by ``_integer_row``.
         Returns ``(den, rem nums, rem dens, coords nums, coords dens)``."""
         if den is None:
-            den = lcm(*[v.denominator for v in row.values()])
-            row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+            row, den = _integer_row(row)
         rows = self.rows
         hits = []
         rem_n: dict = {}
@@ -216,13 +213,34 @@ def _primitive(row: dict) -> None:
 
 
 def _integer_rref(rows) -> dict[int, dict[int, int]]:
-    """``sparse_rref`` in integers: each pivot row's entries are its values
-    times its entry at its own pivot."""
+    """Row-echelon form of ``rows`` (maps of columns to ``Fraction``s or
+    ``int``s), as ``pivot_col -> row`` in order of pivot, each row in
+    integers: its entries are its values times its entry at its own pivot.
+
+    A new pivot is back-substituted into every stored row, so no row holds
+    a pivot made after it.  But a new row is reduced only until its
+    smallest column is not a pivot, so it can keep an earlier pivot column:
+    the form is not fully reduced, and ``nullspace`` can return a vector
+    that breaks a row (the strict xfail
+    ``tests/test_linsolve.py::test_nullspace_vectors_solve_every_row``; the
+    fix changes a pinned benchmark answer).
+
+    The elimination is fraction-free (cf. Bareiss 1968).  Each input row is
+    scaled by the lcm of its denominators (``_integer_row``).  A new row is
+    reduced up to scale, divided by its content after each step, because
+    scaling a row scales its reduction.  A stored row is exact as integers
+    over one denominator, its own entry at its pivot: it holds no column
+    left of its pivot, and a new row back-substituted into it has its pivot
+    at a column the stored row holds and no entry left of that, so the
+    entry at the stored row's pivot never changes.  The stored row is
+    divided by its content after each change.  A column index maps each
+    column to the pivots whose rows hold it, so a new pivot visits only
+    those rows.
+    """
     pivots: dict[int, dict[int, int]] = {}
     holders: dict[int, set[int]] = {}
     for raw in rows:
-        den = lcm(*[v.denominator for v in raw.values()])
-        row = {c: v.numerator * (den // v.denominator) for c, v in raw.items() if v}
+        row, _ = _integer_row(raw)
         while row:
             _primitive(row)
             col = min(row)
@@ -246,42 +264,14 @@ def _integer_rref(rows) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def sparse_rref(rows) -> dict[int, dict[int, Fraction]]:
-    """Row-echelon form, returned as ``pivot_col -> row`` in order of pivot.
-
-    ``rows`` map columns to ``Fraction``s or ``int``s; the returned rows
-    hold ``Fraction``s.  Every returned row has coefficient 1 at its pivot
-    column, and a new pivot is back-substituted into every stored row, so no
-    row holds a pivot made after it.  But a new row is reduced only until
-    its smallest column is not a pivot, so it can keep an earlier pivot
-    column: the form is not fully reduced, and ``nullspace`` can return a
-    vector that breaks a row (the strict xfail
-    ``tests/test_linsolve.py::test_nullspace_vectors_solve_every_row``).
-
-    The elimination is fraction-free (cf. Bareiss 1968), over integer rows.
-    Each input row is scaled by the lcm of its denominators.  A new row is
-    reduced up to scale, divided by its content after each step, because
-    scaling a row scales its reduction.  A stored row is exact as integers
-    over one denominator, its own entry at its pivot: it holds no column
-    left of its pivot, and a new row back-substituted into it has its pivot
-    at a column the stored row holds and no entry left of that, so the
-    entry at the stored row's pivot never changes.  The stored row is
-    divided by its content after each change.  A column index maps each
-    column to the pivots whose rows hold it, so a new pivot visits only
-    those rows.
-    """
-    return {pcol: {c: Fraction(n, prow[pcol]) for c, n in prow.items()}
-            for pcol, prow in _integer_rref(rows).items()}
-
-
 def nullspace(rows, ncols: int) -> list[list[Fraction]]:
-    """One solution vector per free column of ``sparse_rref(rows)``.
+    """One solution vector per free column of ``_integer_rref(rows)``.
 
     The vector for free column ``f`` carries 1 at ``f`` and minus each
     pivot row's entry at ``f`` at that row's pivot; vectors are ordered by
     free column index, which makes the result reproducible.  It is a basis
     of the solution space only when the rows are fully reduced, which
-    ``sparse_rref`` does not guarantee (see there).  One pass over the
+    ``_integer_rref`` does not guarantee (see there).  One pass over the
     integer pivot rows fills every vector, with a ``Fraction`` built only
     for an entry at a free column.
     """

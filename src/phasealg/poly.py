@@ -20,10 +20,11 @@ vector becomes one int with a byte-aligned field per variable, all fields
 of one width (1, 2, 4 or 8 bytes), and the coefficients become int
 numerators over their operand's denominator; several operands share one
 list by a tag above the fields.  Packing and unpacking a term is one
-``struct`` call each way.  ``Fraction`` appears again only when the result
-is unpacked, once per distinct numerator of a polynomial and once per term
-of a tagged block.  An exponent a call could reach that needs more than 64
-bits raises ``OverflowError``.
+``struct`` call each way.  The format belongs to this module: ``_unpack``
+reads a result as a polynomial, with ``Fraction`` built once per distinct
+numerator, and ``_tagged`` reads a tagged one as integer entries, which
+only ``brackets`` takes.  An exponent a call could reach that needs more
+than 64 bits raises ``OverflowError``.
 """
 
 from __future__ import annotations
@@ -134,14 +135,6 @@ def _tagged(acc: Mapping[int, int], layout: Struct) -> list[tuple[int, Expvec, i
             u = key >> shift
             out.append((u, unpack((key - (u << shift)).to_bytes(size, "little")), num))
     return out
-
-
-def _unpack_blocks(blocks: list[Mapping[Expvec, int]],
-                   dens: list[int]) -> list[dict[Expvec, Fraction]]:
-    """Each block of integer numerators over its denominator in ``dens``
-    (``brackets._blocks``) as a term dict ``PhasePoly._build`` takes."""
-    return [{exps: Fraction(num, den) for exps, num in block.items()}
-            for block, den in zip(blocks, dens)]
 
 
 def _product_into(acc: dict[int, int], left: Packed, right: Packed) -> None:

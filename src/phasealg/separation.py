@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .brackets import _blocks
+from .brackets import _brackets_of
 from .context import PhaseContext
 from .errors import SeparationFailure
 from .linsolve import invert
-from .poly import PhasePoly, _unpack_blocks, _var_exps
+from .poly import PhasePoly, _var_exps
 from .rational import rat
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -198,16 +198,14 @@ def verify_canonical(cmap: CanonicalMap) -> CanonicalReport:
     The images are bracketed pairwise, ``i < j`` in flat-index order; the
     pair is conjugate, with bracket 1, exactly when ``j == i + dof``.  Each
     violation is ``(label(i), label(j), bracket - expected)``, in that order.
-    One walk per ``i`` brackets the later images with ``images[i]``, negated.
+    One walk per ``i`` brackets ``images[i]`` with every later image.
     """
     ctx = cmap.old_context()
     images = cmap.new_variable_images(ctx)
     violations = []
     for i in range(ctx.nvars - 1):
-        blocks = _unpack_blocks(*_blocks([images[j] for j in range(i + 1, ctx.nvars)],
-                                         images[i], False))
-        for j, block in enumerate(blocks, i + 1):
-            br = -PhasePoly._build(ctx, block)
+        brs = _brackets_of(images[i], [images[j] for j in range(i + 1, ctx.nvars)], False)
+        for j, br in enumerate(brs, i + 1):
             expected = PhasePoly.constant(ctx, 1 if j == i + ctx.dof else 0)
             if br != expected:
                 violations.append((cmap.label(i), cmap.label(j), br - expected))

@@ -279,7 +279,9 @@ def test_batched_kernel_matches_single_brackets():
     """``brackets._blocks`` walks every left operand at once, each term's
     packed keys tagged with its index in a field above the top exponent
     field; each block, its nonzero integer numerators read over its
-    denominator, must be that term's own bracket, as its term dict.
+    denominator, must be that term's own bracket, as its term dict.  From
+    the same walk ``brackets._brackets_of(s, terms)`` must give each
+    ``bracket(s, T)`` as the public bracket does, through ``_unpack``.
     The terms are the left operands of ``kernel_cases`` (mixed denominators
     and degrees, the zero polynomial) and the constant 1, the seeds its
     right operands; at D=1 the 127/128 edge operands drive the
@@ -296,6 +298,7 @@ def test_batched_kernel_matches_single_brackets():
                 assert all(type(n) is int and n for block in blocks for n in block.values())
                 assert [{e: Fraction(n, den) for e, n in block.items()}
                         for block, den in zip(blocks, dens)] == [bracket(t, s)._terms for t in terms]
+                assert brackets._brackets_of(s, terms, moyal) == [bracket(s, t) for t in terms]
 
 
 def test_moyal_walk_is_not_cubic_in_the_degree(monkeypatch):

@@ -642,6 +642,29 @@ def test_failure_raised_as_exception_writes_no_report(name, tmp_path, monkeypatc
     assert not (tmp_path / "report.json").exists()
 
 
+# An exponent past the packed kernel's 64-bit fields, reached by the parser
+# (q1^(2^64)) or by a bracket (the closure of q1^(2^63) and p1^(2^63)):
+# generators, max_degree, the exponent named in the error.
+OVERFLOWS = {
+    "parse": ({"A": f"q1^{2 ** 64}"}, 2 ** 64, 2 ** 64),
+    "bracket": ({"A": f"q1^{2 ** 63}", "B": f"p1^{2 ** 63}"}, 2 ** 65, 3 * 2 ** 63 - 2),
+}
+
+
+@pytest.mark.parametrize("command", ["close", "invariants"])
+@pytest.mark.parametrize("route", sorted(OVERFLOWS))
+def test_packed_field_overflow_exits_two(route, command, tmp_path, capsys):
+    """An exponent the packed kernel cannot hold is an input error: exit 2,
+    the exponent named on stderr, and no report on stdout."""
+    generators, max_degree, exponent = OVERFLOWS[route]
+    path = write_problem(tmp_path, "big.json", {
+        "dof": 1, "generators": generators, "options": {"max_degree": max_degree}})
+    assert main([command, path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: exponent {exponent} does not fit a 64-bit packed field\n"
+
+
 def test_readme_cli_examples_succeed(tmp_path, monkeypatch, capsys):
     """Every line of README's "## Command line" sh block exits 0."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

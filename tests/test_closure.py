@@ -601,19 +601,19 @@ def test_engine_takes_no_single_bracket(monkeypatch):
 def test_closure_and_verify_build_no_fraction_blocks(monkeypatch):
     """Closure and ``verify`` reduce the kernel's integer rows as they are:
     on the ``nsphere`` and ``cm`` closures, under both brackets, neither
-    turns a bracket into ``Fraction`` terms (``poly._unpack_blocks``), while
-    ``verify_invariant``, which reports polynomials, still does."""
+    turns a bracket into ``Fraction`` terms (``brackets._brackets_of``),
+    while ``verify_invariant``, which reports polynomials, still does."""
     calls = []
 
     def spy(real):
-        def call(blocks, dens):
-            calls.append(len(blocks))
-            return real(blocks, dens)
+        def call(a, terms, moyal):
+            calls.append(len(terms))
+            return real(a, terms, moyal)
         return call
 
     for name, module in list(sys.modules.items()):
-        if (name == "phasealg" or name.startswith("phasealg.")) and hasattr(module, "_unpack_blocks"):
-            monkeypatch.setattr(module, "_unpack_blocks", spy(module._unpack_blocks))
+        if (name == "phasealg" or name.startswith("phasealg.")) and hasattr(module, "_brackets_of"):
+            monkeypatch.setattr(module, "_brackets_of", spy(module._brackets_of))
     for problem in ("nsphere", "cm"):
         for kind, hbar in (("poisson", 1), ("moyal", Fraction(3, 2))):
             cl = close_algebra(_bundled_seeds(problem, hbar), bracket_kind=kind)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasealg.closure import _leading
-from phasealg.linsolve import Echelon, invert, nullspace, sparse_rref, sub_scaled
+from phasealg.linsolve import Echelon, _integer_rref, invert, nullspace, sub_scaled
 
 
 @pytest.mark.xfail(
@@ -25,8 +25,8 @@ def test_nullspace_vectors_solve_every_row():
 
 
 def _scan_sparse_rref(rows):
-    """``sparse_rref`` before its column index: a new pivot scans every
-    stored row for its column."""
+    """``_integer_rref``'s elimination in ``Fraction``s, before its column
+    index: a new pivot scans every stored row for its column."""
     pivots = {}
     for raw in rows:
         row = {c: v for c, v in raw.items() if v != 0}
@@ -107,17 +107,20 @@ def sparse_systems(draw):
 def test_indexed_elimination_equals_full_scan(system):
     """The column index, the one-pass read and the integer elimination
     change no output: the pivot dicts agree in key order and values, inner
-    rows included, and so do the vector lists (the defect they share is
-    left in place).  Every entry returned is a ``Fraction``, also for
-    ``int`` input: a bare ``int`` would be written to a report as a JSON
-    number, not a string."""
+    rows included, each integer row read over its pivot entry, and so do
+    the vector lists (the defect they share is left in place).  The integer
+    rows hold ``int``s only, and every vector entry is a ``Fraction``, also
+    for ``int`` input: a bare ``int`` would be written to a report as a
+    JSON number, not a string."""
     rows, ncols = system
-    got, want = sparse_rref(rows), _scan_sparse_rref(rows)
+    pivots, want = _integer_rref(rows), _scan_sparse_rref(rows)
+    got = {pcol: {c: Fraction(n, prow[pcol]) for c, n in prow.items()}
+           for pcol, prow in pivots.items()}
     assert [(c, list(r.items())) for c, r in got.items()] == [
         (c, list(r.items())) for c, r in want.items()]
     vectors = nullspace(rows, ncols)
     assert vectors == _scan_nullspace(rows, ncols)
-    assert all(type(v) is Fraction for r in got.values() for v in r.values())
+    assert all(type(n) is int for r in pivots.values() for n in r.values())
     assert all(type(v) is Fraction for vec in vectors for v in vec)
 
 
