@@ -7,9 +7,9 @@ constants, Casimir and centre searches, and canonical centre-of-mass
 transformations.  A small float64 layer computes box and finite-difference
 spectra to compare confined and internal level structures.
 
-The float layer (``phasealg.spectra``) is the only code that needs numpy and
-scipy.  It is imported on first access to one of its names here (PEP 562),
-so ``import phasealg`` and the exact layers start without them.
+Only the finite-difference solver in ``phasealg.spectra`` needs numpy and
+scipy, and it imports them when it first runs, so ``import phasealg``, the
+exact layers and the box and composite spectra start without them.
 """
 
 from .brackets import moyal_bracket, poisson_bracket
@@ -56,39 +56,22 @@ from .separation import (
     two_body_transform,
     verify_canonical,
 )
-
-# The float layer's names, resolved on first access by ``__getattr__``.
-_SPECTRA_NAMES = frozenset({
-    "BoxLevel",
-    "Level",
-    "PotentialSpec",
-    "SpectrumReport",
-    "box_energy",
-    "box_potential",
-    "box_spectrum",
-    "composite_spectrum",
-    "coulomb_potential",
-    "fd_eigen_1d",
-    "harmonic_potential",
-    "internal_spectrum",
-    "read_tabulated",
-    "tabulated_potential",
-})
-
-
-def __getattr__(name):
-    """A name of ``phasealg.spectra``, read from it on every access and never
-    cached here, so a function replaced on ``spectra`` is the one returned."""
-    if name in _SPECTRA_NAMES:
-        from . import spectra
-
-        return getattr(spectra, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | _SPECTRA_NAMES)
-
+from .spectra import (
+    BoxLevel,
+    Level,
+    PotentialSpec,
+    SpectrumReport,
+    box_energy,
+    box_potential,
+    box_spectrum,
+    composite_spectrum,
+    coulomb_potential,
+    fd_eigen_1d,
+    harmonic_potential,
+    internal_spectrum,
+    read_tabulated,
+    tabulated_potential,
+)
 
 __version__ = "0.1.0"
 

@@ -128,7 +128,7 @@ def _series(terms: list[PhasePoly], seeds: list[PhasePoly],
     quantum = moyal and ctx.hbar
     degree_a = max(t.total_degree() for t in terms) if quantum else 1
     max_a, max_bs = _maxima(*terms), [_maxima(b) for b in seeds]
-    layout = _layout([x + max(y) for x, y in zip(max_a, zip(*max_bs))])
+    layout = _layout(ctx, max_a, list(map(max, zip(*max_bs))))
     units = _units(layout)
     terms_a, dens = _pack(terms, layout)
     # (A variable, B variable, sign): s_i = d/dq_i (x) d/dp_i, t_i = -d/dp_i (x) d/dq_i

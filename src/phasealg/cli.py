@@ -10,8 +10,9 @@ writes it, to stdout or to ``-o``, and returns its ``exit_code``.  A failure
 raised as an exception writes no report.  ``main`` may be called many times
 in one process; it builds its parser once, at first use, not at import.
 
-Only the ``spectrum`` commands import the float layer (``spectra``, and with
-it numpy and scipy), when they run; the exact commands start without it.
+Only ``spectrum internal``, the finite-difference solver, imports numpy and
+scipy, when it runs; every other command, ``spectrum box`` and ``spectrum
+composite`` included, starts without them.
 
 Exit codes: 0 success, 2 input error (an exponent past 64 bits included),
 3 algebra does not close (the report is still written, with diagnostics),
@@ -21,8 +22,8 @@ The environment variable PHASEALG_MAX_MEMORY_MB, when set, caps the address
 space of the process before any exact arithmetic starts; a runaway closure
 then ends with exit 5 and "error: out of memory" on stderr, naming the
 cap, instead of taking the machine down.  No report is written.  The cap is
-set after the arguments are parsed, and for a ``spectrum`` command after the
-float layer is imported, so what numpy and scipy map counts against it.
+set after the arguments are parsed, and for ``spectrum internal`` after numpy
+and scipy are imported, so what they map counts against it.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .separation import (
     two_body_transform,
     verify_canonical,
 )
+from . import spectra
 
 _DEFAULT_OPTIONS = {
     "bracket": "poisson",
@@ -317,8 +319,6 @@ def _spectrum_report(rep, command: str) -> dict:
 
 
 def cmd_spectrum_box(args) -> dict:
-    from . import spectra
-
     return _spectrum_report(spectra.box_spectrum(args.mass, args.side, args.nmax),
                             "spectrum box")
 
@@ -340,8 +340,6 @@ def _refuse_unread(args, names, where: str) -> None:
 
 
 def _potential_from_args(args):
-    from . import spectra
-
     reads = _POTENTIAL_OPTIONS[args.potential]
     every = dict.fromkeys(name for options in _POTENTIAL_OPTIONS.values() for name in options)
     _refuse_unread(args, [name for name in every if name not in reads],
@@ -362,15 +360,11 @@ def _potential_from_args(args):
 
 
 def cmd_spectrum_internal(args) -> dict:
-    from . import spectra
-
     rep = spectra.internal_spectrum(_potential_from_args(args), args.count)
     return _spectrum_report(rep, "spectrum internal")
 
 
 def cmd_spectrum_composite(args) -> dict:
-    from . import spectra
-
     if args.mode == "right":
         _refuse_unread(args, ["count", "side", "nmax", "mass"], "--mode right")
         if args.f is None:
@@ -582,8 +576,8 @@ def main(argv=None) -> int:
     """Run one command (``argv`` defaults to ``sys.argv[1:]``) and return its
     exit code.
 
-    The arguments are parsed before the memory cap is set.  A ``spectrum``
-    command then imports the float layer, and with it numpy and scipy, still
+    The arguments are parsed before the memory cap is set.  ``spectrum
+    internal`` then imports numpy and scipy (``spectra._float_layer``), still
     before the cap: the address space they map counts against the cap, and
     no import can fail under it.  No other command loads them.
     """
@@ -591,9 +585,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         command = args.command
         if command == "spectrum":
-            from . import spectra  # noqa: F401  (loaded before the cap, see above)
-
             command += "_" + args.spectrum_command
+            if command == "spectrum_internal":
+                spectra._float_layer()   # loaded before the cap, see above
         _apply_memory_cap()
         report = globals()["cmd_" + command](args)
         _emit(report, args.output)

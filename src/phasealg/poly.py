@@ -72,22 +72,25 @@ def _var_exps(ctx: PhaseContext, var: str | int, power: int = 1) -> Expvec:
     return tuple(exps)
 
 
-def _layout(tops: list[int]) -> Struct:
+def _layout(ctx: PhaseContext, left: list[int], right: list[int]) -> Struct:
     """Byte-aligned fields, one per variable, wide enough to hold exponent
-    ``tops[i]`` in variable i.
+    ``left[i] + right[i]`` in variable i.
 
-    Callers pass the largest exponent any result of the call can reach in
-    each variable (for a product, the sum of the operands' maxima), so the
-    sum of two packed keys never carries from one field into the next.
-    Every field gets the width of the widest, so a key is the little-endian
-    integer of one ``struct`` record.  A top of 2^64 or more raises
-    ``OverflowError``.
+    Callers pass each operand's largest exponent in each variable
+    (``_maxima``), so the sum is the largest any result of the call can
+    reach, and the sum of two packed keys never carries from one field into
+    the next.  Every field gets the width of the widest, so a key is the
+    little-endian integer of one ``struct`` record.  A sum of 2^64 or more
+    raises ``OverflowError`` naming the variable and the two exponents.
     """
+    tops = [x + y for x, y in zip(left, right)]
     top = max(tops)
     for code, width in _WIDTHS.items():
         if top >> 8 * width == 0:
             return Struct(f"<{len(tops)}{code}")
-    raise OverflowError(f"exponent {top} does not fit a 64-bit packed field")
+    i = tops.index(top)
+    raise OverflowError(f"exponent {left[i]} + {right[i]} of {ctx.var_name(i)}"
+                        " does not fit a 64-bit packed field")
 
 
 def _units(layout: Struct) -> list[int]:
@@ -273,7 +276,7 @@ class PhasePoly:
         if not isinstance(other, PhasePoly):
             return NotImplemented
         self.ctx.require_same(other.ctx)
-        layout = _layout([x + y for x, y in zip(_maxima(self), _maxima(other))])
+        layout = _layout(self.ctx, _maxima(self), _maxima(other))
         left, (den_left,) = _pack([self], layout)
         right, (den_right,) = _pack([other], layout)
         acc: dict[int, int] = {}

@@ -19,6 +19,11 @@ lowest ``count`` and assigns degeneracy groups.
 
 Everything here is float64; exact arithmetic buys nothing against the
 O(h^2) discretization error.
+
+Only the FD solver uses numpy and scipy: ``PotentialSpec.sample``,
+``read_tabulated`` and ``fd_eigen_1d`` get them from ``_float_layer`` when
+they run.  Importing this module, and the box ladder and composite spectra,
+load neither.
 """
 
 from __future__ import annotations
@@ -30,9 +35,6 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Sequence
 
-import numpy as np
-from scipy.linalg import eigh_tridiagonal
-
 REL_DEGENERACY = 1e-12
 
 # The most levels a box ladder, or a spurious composite (internal levels
@@ -40,6 +42,14 @@ REL_DEGENERACY = 1e-12
 MAX_BOX_LEVELS = 100_000
 # The most points a finite-difference grid may have.
 MAX_GRID_POINTS = 1_000_000
+
+
+def _float_layer():
+    """numpy and scipy's ``eigh_tridiagonal``, imported at the first call."""
+    import numpy
+    from scipy.linalg import eigh_tridiagonal
+
+    return numpy, eigh_tridiagonal
 
 
 @dataclass(frozen=True)
@@ -96,8 +106,7 @@ class PotentialSpec:
         if self.kind == "tabulated":
             if len(self.positions) < 2 or len(self.positions) != len(self.values):
                 raise ValueError("tabulated potential needs matching columns")
-            diffs = np.diff(np.asarray(self.positions, dtype=float))
-            if not (diffs > 0).all():
+            if not all(a < b for a, b in zip(self.positions, self.positions[1:])):
                 raise ValueError("tabulated positions must increase strictly")
         h = self.spacing
         scale = self.mass * h * h
@@ -111,7 +120,9 @@ class PotentialSpec:
         """Grid spacing h of the ``grid`` points from ``a`` to ``b``."""
         return (self.b - self.a) / (self.grid - 1)
 
-    def sample(self, x: np.ndarray) -> np.ndarray:
+    def sample(self, x):
+        """The potential at each point of the array ``x``."""
+        np, _ = _float_layer()
         if self.kind == "harmonic":
             return 0.5 * self.mass * self.omega**2 * x**2
         if self.kind == "box":
@@ -175,6 +186,7 @@ def tabulated_potential(
 
 def read_tabulated(path, mass: float = 1.0, grid: int = 2000) -> PotentialSpec:
     """Two whitespace-separated columns (position, value); '#' comments ok."""
+    np, _ = _float_layer()
     with warnings.catch_warnings():   # the check below reports an empty file
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         data = np.loadtxt(path, dtype=float)
@@ -261,8 +273,9 @@ def box_spectrum(mass: float, length: float, n_max: int) -> SpectrumReport:
     )
 
 
-def fd_eigen_1d(spec: PotentialSpec, count: int) -> np.ndarray:
-    """Lowest ``count`` Dirichlet eigenvalues of -(1/2m) d2/dx2 + V, ascending.
+def fd_eigen_1d(spec: PotentialSpec, count: int):
+    """Lowest ``count`` Dirichlet eigenvalues of -(1/2m) d2/dx2 + V, ascending,
+    as a numpy array.
 
     Symmetric tridiagonal matrix over the grid interior, solved by Sturm
     bisection (LAPACK stebz) to absolute tolerance 1e-10; only the energies
@@ -276,6 +289,7 @@ def fd_eigen_1d(spec: PotentialSpec, count: int) -> np.ndarray:
     interior = spec.grid - 2
     if not 1 <= count <= interior:
         raise ValueError(f"count must be in [1, {interior}], got {count}")
+    np, eigh_tridiagonal = _float_layer()
     h = spec.spacing
     x = spec.a + h * np.arange(1, spec.grid - 1)
     with np.errstate(all="ignore"):   # the check below reports an overflow

@@ -76,7 +76,7 @@ def reference_series(a: PhasePoly, b: PhasePoly, top: int) -> PhasePoly:
     ctx = a.ctx
     dof = ctx.dof
     max_a, max_b = _maxima(a), _maxima(b)
-    layout = _layout([x + y for x, y in zip(max_a, max_b)])
+    layout = _layout(ctx, max_a, max_b)
     units = _units(layout)
     terms_a, (den_a,) = _pack([a], layout)
     terms_b, (den_b,) = _pack([b], layout)

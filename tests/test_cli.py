@@ -643,11 +643,12 @@ def test_failure_raised_as_exception_writes_no_report(name, tmp_path, monkeypatc
 
 
 # An exponent past the packed kernel's 64-bit fields, reached by the parser
-# (q1^(2^64)) or by a bracket (the closure of q1^(2^63) and p1^(2^63)):
-# generators, max_degree, the exponent named in the error.
+# (q1^(2^64), squaring q1^(2^63)) or by a bracket (the closure of q1^(2^63)
+# and p1^(2^63): A = q1^(2^63) against g2, which holds q1^(2^64 - 2)):
+# generators, max_degree, the two operand exponents of q1 named in the error.
 OVERFLOWS = {
-    "parse": ({"A": f"q1^{2 ** 64}"}, 2 ** 64, 2 ** 64),
-    "bracket": ({"A": f"q1^{2 ** 63}", "B": f"p1^{2 ** 63}"}, 2 ** 65, 3 * 2 ** 63 - 2),
+    "parse": ({"A": f"q1^{2 ** 64}"}, 2 ** 64, (2 ** 63, 2 ** 63)),
+    "bracket": ({"A": f"q1^{2 ** 63}", "B": f"p1^{2 ** 63}"}, 2 ** 65, (2 ** 63, 2 ** 64 - 2)),
 }
 
 
@@ -655,14 +656,15 @@ OVERFLOWS = {
 @pytest.mark.parametrize("route", sorted(OVERFLOWS))
 def test_packed_field_overflow_exits_two(route, command, tmp_path, capsys):
     """An exponent the packed kernel cannot hold is an input error: exit 2,
-    the exponent named on stderr, and no report on stdout."""
-    generators, max_degree, exponent = OVERFLOWS[route]
+    the variable and the two operand exponents whose sum overflows named on
+    stderr, and no report on stdout."""
+    generators, max_degree, (left, right) = OVERFLOWS[route]
     path = write_problem(tmp_path, "big.json", {
         "dof": 1, "generators": generators, "options": {"max_degree": max_degree}})
     assert main([command, path]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: exponent {exponent} does not fit a 64-bit packed field\n"
+    assert err == f"error: exponent {left} + {right} of q1 does not fit a 64-bit packed field\n"
 
 
 def test_readme_cli_examples_succeed(tmp_path, monkeypatch, capsys):
@@ -811,26 +813,32 @@ def test_exact_commands_start_without_numpy_and_scipy(tmp_path):
 CAP_ORDER_PROBE = """
 import json, resource, sys
 from phasealg.cli import main
-loaded = []
-resource.setrlimit = lambda kind, pair: loaded.append("scipy.linalg" in sys.modules)
+def loaded():
+    return sorted(m for m in ("numpy", "scipy", "scipy.linalg") if m in sys.modules)
+at_cap = []
+resource.setrlimit = lambda kind, pair: at_cap.append(loaded())
 code = main(sys.argv[1:])
-print(json.dumps({"code": code, "loaded": loaded}))
+print(json.dumps({"code": code, "at_cap": at_cap, "at_exit": loaded()}))
 """
+FLOAT_LAYER = ["numpy", "scipy", "scipy.linalg"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["spectrum", "internal"],
-    ["spectrum", "box"],
-    ["spectrum", "composite", "--mode", "spurious", "--internal", "1", "--mass", "1",
-     "--side", "1"],
-], ids=["internal", "box", "composite"])
-def test_spectrum_loads_the_float_layer_before_the_memory_cap(argv, tmp_path):
-    """A ``spectrum`` command imports numpy and scipy before the memory cap
+@pytest.mark.parametrize("argv, layer", [
+    (["spectrum", "internal"], FLOAT_LAYER),
+    (["spectrum", "box"], []),
+    (["spectrum", "composite", "--mode", "spurious", "--internal", "1", "--mass", "1",
+      "--side", "1"], []),
+    (["spectrum", "composite", "--mode", "right", "--internal", "1", "--f", "2"], []),
+], ids=["internal", "box", "composite", "composite-right"])
+def test_spectrum_loads_the_float_layer_before_the_memory_cap(argv, layer, tmp_path):
+    """``spectrum internal`` imports numpy and scipy before the memory cap
     is set, so no import runs under the cap: imported under a small cap,
-    they end in an ``ImportError`` or OpenBLAS's ``pthread_create failed``."""
+    they end in an ``ImportError`` or OpenBLAS's ``pthread_create failed``.
+    ``spectrum box`` and both ``composite`` modes load neither, at the cap
+    or by the time they exit."""
     seen = _fresh_interpreter(CAP_ORDER_PROBE, *argv, "-o", str(tmp_path / "report.json"),
                               PHASEALG_MAX_MEMORY_MB="512")
-    assert seen == {"code": 0, "loaded": [True]}
+    assert seen == {"code": 0, "at_cap": [layer], "at_exit": layer}
 
 
 def test_cached_parser_shares_no_state_between_calls(capsys):

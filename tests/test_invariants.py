@@ -379,8 +379,7 @@ def test_shared_layout_rows_match_per_seed_blocks(name):
     for degree in (1, 2, 3):
         terms = [PhasePoly.monomial(cl.ctx, m) for m in monomials_up_to_degree(cl.ctx, degree)]
         if name.startswith("mixed-width"):
-            widths = {_layout([x + y for x, y in zip(_maxima(*terms), _maxima(s))]).size
-                      for s in seeds}
+            widths = {_layout(cl.ctx, _maxima(*terms), _maxima(s)).size for s in seeds}
             assert len(widths) == 2
         rows, expected = _exact_rows(terms, cl), _seed_block_rows(terms, cl)
         assert list(rows) == list(expected)

@@ -12,7 +12,7 @@ from phasealg.linsolve import Echelon, _integer_rref, invert, nullspace, sub_sca
 
 @pytest.mark.xfail(
     strict=True,
-    reason="sparse_rref stops reducing a new row at its first non-pivot column, "
+    reason="linsolve._integer_rref stops reducing a new row at its first non-pivot column, "
     "so a stored row can keep another pivot column",
 )
 def test_nullspace_vectors_solve_every_row():

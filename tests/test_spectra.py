@@ -96,15 +96,30 @@ def test_box_and_spurious_ladders_are_capped_before_they_are_built():
 
 def test_grid_is_capped_before_any_array_is_built(monkeypatch):
     """A grid past ``MAX_GRID_POINTS`` is refused by ``PotentialSpec``,
-    naming the grid and the cap, before numpy is touched (a tabulated spec
-    checks its columns with numpy only after); a grid at the cap passes."""
+    naming the grid and the cap, before numpy is touched; a grid at the cap
+    passes."""
     assert MAX_GRID_POINTS == 1_000_000
     assert PotentialSpec(kind="box", mass=1, a=0, b=1, grid=MAX_GRID_POINTS).grid == 1_000_000
-    monkeypatch.setattr(spectra, "np", None)
+
+    def untouched():
+        raise AssertionError("numpy was reached")
+
+    monkeypatch.setattr(spectra, "_float_layer", untouched)
     for kind in ("harmonic", "tabulated"):
         with pytest.raises(ValueError, match="grid of 1000001 points, cap is 1000000"):
             PotentialSpec(kind=kind, mass=1, a=0, b=1, grid=MAX_GRID_POINTS + 1,
                           omega=1, positions=(0.0, 1.0), values=(1.0, 2.0))
+
+
+@pytest.mark.parametrize("positions", [
+    (0.0, 0.0, 1.0), (0.0, 2.0, 1.0), (0.0, math.nan, 1.0), (math.nan, 0.0, 1.0),
+])
+def test_tabulated_positions_must_increase_strictly(positions):
+    """A repeated, falling or NaN position is refused; NaN compares false
+    with every neighbour, so it can never pass for an increase."""
+    with pytest.raises(ValueError, match="tabulated positions must increase strictly"):
+        PotentialSpec(kind="tabulated", mass=1, a=0.0, b=1.0, grid=100,
+                      positions=positions, values=(0.0, 0.0, 0.0))
 
 
 def test_potential_spec_validation():
