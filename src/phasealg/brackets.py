@@ -48,22 +48,33 @@ One walk takes a list of left operands, packed in one layout over their
 own denominators, each term's keys tagged with its index in a field above
 the top exponent field.  The tag survives the walk: a derivative subtracts
 a unit only from a field that holds it, and B is untagged and the layout
-keeps every product's exponents inside their fields.  ``_series``, the
-only entry to the walk, takes a list of right operands (seeds) too: it
-packs the left operands once, in a layout wide enough for every seed, and
-per seed packs only the seed and builds its slots and scales.  The public
-brackets are its one-term, one-seed case.  Its other readers are here, so
-no other module sees a packed key: ``_entries`` (the invariant rows),
-``_blocks`` (integer rows for closure and ``verify``) and ``_brackets_of``
-(``bracket(a, T)`` as polynomials, for ``verify_invariant`` and
-``verify_canonical``).
+keeps every product's exponents inside their fields.  Two owners pack the
+left operands, and both hand each seed to one set-up, ``_seed_walk``
+(slots, scales, the walk, denominators):
+
+- ``_series`` takes a list of right operands (seeds) too: it packs the left
+  operands once, in a layout wide enough for every seed, and per seed packs
+  only the seed.  The public brackets are its one-term, one-seed case.
+- ``_PackedBasis`` is a basis that grows, as a closure's does: it packs
+  each element once, tagged with its basis index, so that a walk of element
+  j against every earlier one takes a prefix of one packed list, and it
+  re-packs only when a walk needs wider fields.  Closure and
+  ``LieClosure.verify`` take their integer rows from its ``blocks``.
+
+Every reader of a walk is here, so no other module sees a packed key:
+``_entries`` (the invariant rows), ``_PackedBasis.blocks`` (integer rows
+for closure and ``verify``) and ``_brackets_of`` (``bracket(a, T)`` as
+polynomials, for ``verify_invariant`` and ``verify_canonical``).  A walk's
+result is decoded once per distinct monomial (``poly._tagged``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from struct import Struct
+from typing import Iterable
 
+from .context import PhaseContext
 from .poly import (Expvec, Packed, PhasePoly, _layout, _maxima, _pack, _product_into, _tagged, _units,
                    _unpack)
 
@@ -86,18 +97,6 @@ def _entries(terms: list[PhasePoly], seeds: list[PhasePoly],
     return [(_tagged(acc, layout), dens) for acc, layout, dens in _series(terms, seeds, moyal)]
 
 
-def _blocks(terms: list[PhasePoly], b: PhasePoly,
-            moyal: bool) -> tuple[list[dict[Expvec, int]], list[int]]:
-    """``bracket(T, b)`` for each ``T`` in ``terms``, in order, from one walk:
-    the integer numerators of its nonzero terms, keyed by exponents, and,
-    apart, its denominator."""
-    entries, dens = _entries(terms, [b], moyal)[0]
-    blocks: list[dict[Expvec, int]] = [{} for _ in dens]
-    for u, exps, num in entries:
-        blocks[u][exps] = num
-    return blocks, dens
-
-
 def _brackets_of(a: PhasePoly, terms: list[PhasePoly], moyal: bool) -> list[PhasePoly]:
     """``bracket(a, T)`` for each ``T`` in ``terms``, in order, from one walk of
     ``bracket(T, a)``, each numerator negated as its ``Fraction`` is built."""
@@ -117,38 +116,121 @@ def _series(terms: list[PhasePoly], seeds: list[PhasePoly],
     (``poly._pack``), the layout, and each term's denominator.
 
     ``terms`` are packed once, in one layout wide enough for every seed;
-    per seed only the seed is packed and its slots and scales are built.
+    per seed only the seed is packed, and ``_seed_walk`` does the rest.
     """
     if not seeds:
         return []
     ctx = seeds[0].ctx
     for p in (*terms, *seeds[1:]):
         p.ctx.require_same(ctx)
-    dof = ctx.dof
-    quantum = moyal and ctx.hbar
-    degree_a = max(t.total_degree() for t in terms) if quantum else 1
+    degree_a = max(t.total_degree() for t in terms) if moyal and ctx.hbar else 1
     max_a, max_bs = _maxima(*terms), [_maxima(b) for b in seeds]
     layout = _layout(ctx, max_a, list(map(max, zip(*max_bs))))
-    units = _units(layout)
     terms_a, dens = _pack(terms, layout)
-    # (A variable, B variable, sign): s_i = d/dq_i (x) d/dp_i, t_i = -d/dp_i (x) d/dq_i
-    pairs = [(i, dof + i, False) for i in range(dof)] + [(dof + i, i, True) for i in range(dof)]
-    half = ctx.hbar / 2 if quantum else 1   # only its numerator and denominator are read
     out = []
     for b, max_b in zip(seeds, max_bs):
-        top = min(degree_a, b.total_degree()) if quantum else 1
         terms_b, (den_b,) = _pack([b], layout)
-        slots = [(va, vb, neg, units[va], units[vb], min(max_a[va], max_b[vb]))
-                 for va, vb, neg in pairs]
-        last = top - 1 + top % 2   # largest odd k <= top
-        # scales[k]: k's factor times half.denominator^(last - 1), 0 for even k
-        scales = [k % 2 and (-1) ** (k // 2) * half.numerator ** (k - 1)
-                  * half.denominator ** (last - k) for k in range(max(top, 0) + 1)]
-        acc: dict[int, int] = {}
-        _walk(acc, slots, scales, 0, 0, terms_a, terms_b)
-        common = den_b * half.denominator ** max(last - 1, 0)
-        out.append((acc, layout, [den * common for den in dens]))
+        acc, walk_dens = _seed_walk(moyal, layout, terms_a, dens, max_a, degree_a,
+                                    b, terms_b, den_b, max_b)
+        out.append((acc, layout, walk_dens))
     return out
+
+
+def _seed_walk(moyal: bool, layout: Struct, terms_a: Packed, dens: list[int], max_a: list[int],
+               degree_a: int, b: PhasePoly, terms_b: Packed, den_b: int,
+               max_b: list[int]) -> tuple[dict[int, int], list[int]]:
+    """The one per-seed set-up: slots, scales and the walk of the tagged left
+    operands ``terms_a`` (denominators ``dens``, largest exponents ``max_a``,
+    largest total degree ``degree_a``) against the seed ``b``, packed
+    untagged as ``terms_b`` over ``den_b``, with largest exponents ``max_b``;
+    ``layout`` holds every ``max_a[i] + max_b[i]``.  Returns the numerators
+    keyed by tagged packed exponents and each left operand's denominator.
+    """
+    ctx = b.ctx
+    dof = ctx.dof
+    quantum = moyal and ctx.hbar
+    top = min(degree_a, b.total_degree()) if quantum else 1
+    units = _units(layout)
+    # (A variable, B variable, sign): s_i = d/dq_i (x) d/dp_i, t_i = -d/dp_i (x) d/dq_i
+    pairs = [(i, dof + i, False) for i in range(dof)] + [(dof + i, i, True) for i in range(dof)]
+    slots = [(va, vb, neg, units[va], units[vb], min(max_a[va], max_b[vb]))
+             for va, vb, neg in pairs]
+    half = ctx.hbar / 2 if quantum else 1   # only its numerator and denominator are read
+    last = top - 1 + top % 2   # largest odd k <= top
+    # scales[k]: k's factor times half.denominator^(last - 1), 0 for even k
+    scales = [k % 2 and (-1) ** (k // 2) * half.numerator ** (k - 1)
+              * half.denominator ** (last - k) for k in range(max(top, 0) + 1)]
+    acc: dict[int, int] = {}
+    _walk(acc, slots, scales, 0, 0, terms_a, terms_b)
+    common = den_b * half.denominator ** max(last - 1, 0)
+    return acc, [den * common for den in dens]
+
+
+class _PackedBasis:
+    """A growing basis packed for its walks: ``blocks(j)`` brackets
+    ``polys[j]`` with every earlier element in one walk, as closure and
+    ``LieClosure.verify`` take their brackets.
+
+    Each element is packed once, by the first walk that reaches it, into one
+    flat list, its keys tagged with its basis index, so ``polys[:j]`` is a
+    prefix of the list.  The largest exponents (and, for a Moyal bracket at
+    nonzero hbar, the largest total degree) of every prefix are kept as
+    elements are appended.  A walk keeps the current layout while it holds
+    that walk's ``max_a[i] + max_b[i]``, the prefix's largest exponents plus
+    the seed's; otherwise it takes ``_layout`` of them, and every packed
+    element is packed again.  Fields are 1, 2, 4 or 8 bytes wide, so the
+    layout widens at most three times, and an exponent past 64 bits raises
+    ``OverflowError`` at the same walk, with the same text, as a layout of
+    its own per walk would.  For that reason an element is packed by a
+    walk, not when it is appended: no layout is taken before a walk sizes
+    it, and an element no walk reaches is never packed.
+    """
+
+    def __init__(self, ctx: PhaseContext, moyal: bool, polys: Iterable[PhasePoly] = ()):
+        self.ctx, self.moyal = ctx, moyal
+        self.polys: list[PhasePoly] = []
+        self.maxima: list[list[int]] = []   # each element's largest exponents
+        self.tops: list[list[int]] = []     # tops[u]: the largest over polys[:u + 1]
+        self.degrees: list[int] = []        # degrees[u]: the largest total degree over polys[:u + 1]
+        self.starts = [0]                   # polys[u] is packed[starts[u]:starts[u + 1]]
+        self.layout: Struct | None = None
+        self.packed: Packed = []
+        self.dens: list[int] = []           # the denominator of each packed element
+        for p in polys:
+            self.append(p)
+
+    def append(self, poly: PhasePoly) -> None:
+        poly.ctx.require_same(self.ctx)
+        own = _maxima(poly)
+        self.tops.append(list(map(max, self.tops[-1], own)) if self.tops else own)
+        if self.moyal and self.ctx.hbar:
+            self.degrees.append(max(self.degrees[-1] if self.degrees else -1, poly.total_degree()))
+        self.maxima.append(own)
+        self.starts.append(self.starts[-1] + len(poly._terms))
+        self.polys.append(poly)
+
+    def blocks(self, j: int) -> tuple[list[dict[Expvec, int]], list[int]]:
+        """``bracket(polys[i], polys[j])`` for each ``i < j``, in order, from one
+        walk: the integer numerators of its nonzero terms, keyed by exponents,
+        and, apart, its denominator."""
+        max_a, max_b = self.tops[j - 1], self.maxima[j]
+        layout = _layout(self.ctx, max_a, max_b)
+        if self.layout is None or layout.size > self.layout.size:
+            self.layout, self.packed, self.dens = layout, [], []
+        layout, done = self.layout, len(self.dens)
+        if done <= j:
+            packed, dens = _pack(self.polys[done:j + 1], layout, done)
+            self.packed += packed
+            self.dens += dens
+        tag = j << 8 * layout.size
+        terms_b = [(k - tag, n, e) for k, n, e in self.packed[self.starts[j]:self.starts[j + 1]]]
+        acc, dens = _seed_walk(self.moyal, layout, self.packed[:self.starts[j]], self.dens[:j],
+                               max_a, self.degrees[j - 1] if self.degrees else 1,
+                               self.polys[j], terms_b, self.dens[j], max_b)
+        blocks: list[dict[Expvec, int]] = [{} for _ in dens]
+        for u, exps, num in _tagged(acc, layout):
+            blocks[u][exps] = num
+        return blocks, dens
 
 
 def _walk(acc: dict[int, int], slots: list, scales: list[int], slot: int, used: int,

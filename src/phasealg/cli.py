@@ -33,6 +33,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -474,12 +475,24 @@ def _finite_pair(text: str) -> tuple[float, float]:
     return _finite(items[0]), _finite(items[1])
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, except that a word starting like a negative number (``-1,2``,
+    ``-.5``, ``-1e3``) is always a value, so ``--internal -1,2`` parses as
+    ``--internal=-1,2``.  argparse's own pattern takes only ``-1`` and
+    ``-1.5`` for values; no option here starts with a digit, so no option is
+    lost.  Subparsers are built by the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built at its first use and then shared: parsing
     reads it and never changes it.  Each subcommand runs ``cmd_<command>``, or
     ``cmd_spectrum_<kind>``, looked up by ``main`` when it runs."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="phasealg",
         description="Exact constraint-algebra closures, invariants and spectra.",
     )

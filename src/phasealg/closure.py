@@ -13,7 +13,9 @@ as the polynomial 1.  New non-constant elements are normalized so their
 graded-lex leading coefficient is 1 and named g1, g2, ... in creation order.
 Pairs (i, j), i < j, go in order of j, then i, so runs are reproducible;
 closure and ``verify`` bracket ``basis[:j]`` with ``basis[j]`` in one walk
-of the kernel (``brackets._blocks``).  Both, and ``span_reduce``, reduce
+of the kernel over a packed basis (``brackets._PackedBasis``), which packs
+each element once per closure, or once per ``verify``, and again only when
+a walk needs wider fields.  Both, and ``span_reduce``, reduce
 term maps through ``linsolve.Echelon``, pivoting on the graded-lex leading
 monomial.  Closure and ``verify`` hand it each bracket as the kernel's
 integer numerators over one denominator, so a ``Fraction`` is built only
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .brackets import _blocks
+from .brackets import _PackedBasis
 from .context import PhaseContext
 from .errors import EmptySeedError, NonClosingError
 from .linsolve import Echelon, sub_scaled
@@ -93,11 +95,11 @@ class LieClosure:
         """Recompute every bracket, one walk per j, and check that each lies
         in the span and that their nonzero coordinates, keyed ``(i, j, k)``,
         are exactly ``structure``: an entry no bracket makes fails."""
-        polys = [elem.poly for elem in self.basis]
+        walks = _PackedBasis(self.ctx, self.bracket_kind == "moyal", [e.poly for e in self.basis])
         span = _span(self.basis)
         table: dict[tuple[int, int, int], Fraction] = {}
-        for j in range(1, len(polys)):
-            blocks, dens = _blocks(polys[:j], polys[j], self.bracket_kind == "moyal")
+        for j in range(1, len(self.basis)):
+            blocks, dens = walks.blocks(j)
             for i, (br, den) in enumerate(zip(blocks, dens)):
                 coords, rem = span.reduce(br, den)
                 if rem:
@@ -163,6 +165,7 @@ def close_algebra(
         names_seen.add(seed.name)
 
     basis: list[AlgebraElement] = []
+    walks = _PackedBasis(ctx, moyal)
     ech = Echelon(_leading)
     structure: dict[tuple[int, int, int], Fraction] = {}
     gen_counter = 0
@@ -190,6 +193,7 @@ def close_algebra(
             scaled = PhasePoly._build(ctx, {e: c / lead for e, c in rem.items()})
             elem = AlgebraElement(name, scaled, is_identity=identity)
         ech.add(elem.poly._terms, len(basis))
+        walks.append(elem.poly)
         basis.append(elem)
         return lead
 
@@ -200,7 +204,7 @@ def close_algebra(
 
     j = 1
     while j < len(basis):
-        blocks, dens = _blocks([elem.poly for elem in basis[:j]], basis[j].poly, moyal)
+        blocks, dens = walks.blocks(j)
         for i, (br, den) in enumerate(zip(blocks, dens)):
             if (degree := max(map(sum, br), default=-1)) > max_degree:
                 reason = f"bracket degree {degree} exceeds max_degree {max_degree}"

@@ -85,8 +85,8 @@ class Echelon:
 
     ``reduce`` and ``add`` take a row as integer numerators over one
     denominator ``den``, as the bracket kernel gives it
-    (``brackets._blocks``).  Without ``den`` the row holds rationals and is
-    converted once (``_integer_row``).  Because of the
+    (``brackets._PackedBasis.blocks``).  Without ``den`` the row holds
+    rationals and is converted once (``_integer_row``).  Because of the
     reduced form, reducing a row is one linear combination: the factor for
     pivot ``c`` is the row's own entry there, so
 

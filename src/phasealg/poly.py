@@ -15,21 +15,25 @@ given by name or index becomes an exponent vector in ``_var_exps``;
 ``partial_derivative`` is ``derivative_multi`` of a unit vector; each
 variable's largest exponent comes from ``_maxima``.
 
-Products and brackets run on a packed form, built per call: each exponent
-vector becomes one int with a byte-aligned field per variable, all fields
-of one width (1, 2, 4 or 8 bytes), and the coefficients become int
-numerators over their operand's denominator; several operands share one
-list by a tag above the fields.  Packing and unpacking a term is one
-``struct`` call each way.  The format belongs to this module: ``_unpack``
-reads a result as a polynomial, with ``Fraction`` built once per distinct
-numerator, and ``_tagged`` reads a tagged one as integer entries, which
-only ``brackets`` takes.  An exponent a call could reach that needs more
-than 64 bits raises ``OverflowError``.
+Products and brackets run on a packed form: each exponent vector becomes
+one int with a byte-aligned field per variable, all fields of one width
+(1, 2, 4 or 8 bytes), and the coefficients become int numerators over
+their operand's denominator; several operands share one list by a tag
+above the fields.  A product packs its operands per call; a closure's
+basis stays packed across its walks (``brackets._PackedBasis``).  Each
+layout (``struct.Struct``) and its unit keys are built once per process
+and shared.  Packing and unpacking a term is one ``struct`` call each
+way.  The format belongs to this module: ``_unpack`` reads a result as a
+polynomial, with ``Fraction`` built once per distinct numerator, and
+``_tagged`` reads a tagged one as integer entries, decoding each distinct
+monomial once, which only ``brackets`` takes.  An exponent a call could
+reach that needs more than 64 bits raises ``OverflowError``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from struct import Struct
 from typing import Iterable, Mapping
@@ -41,6 +45,7 @@ from .rational import rat
 Expvec = tuple[int, ...]
 Packed = list[tuple[int, int, Expvec]]   # (packed exponents, integer numerator, exponents)
 _WIDTHS = {"B": 1, "H": 2, "I": 4, "Q": 8}   # struct code -> bytes per packed field
+_CODES = "BBHIIQQQQ"   # _CODES[n]: the narrowest field that holds n bytes, n = 0..8
 _ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
 
 
@@ -85,25 +90,34 @@ def _layout(ctx: PhaseContext, left: list[int], right: list[int]) -> Struct:
     """
     tops = [x + y for x, y in zip(left, right)]
     top = max(tops)
-    for code, width in _WIDTHS.items():
-        if top >> 8 * width == 0:
-            return Struct(f"<{len(tops)}{code}")
+    nbytes = (top.bit_length() + 7) >> 3
+    if nbytes <= 8:
+        return _fields(len(tops), _CODES[nbytes])
     i = tops.index(top)
     raise OverflowError(f"exponent {left[i]} + {right[i]} of {ctx.var_name(i)}"
                         " does not fit a 64-bit packed field")
 
 
-def _units(layout: Struct) -> list[int]:
+@cache
+def _fields(nvars: int, code: str) -> Struct:
+    """The layout of ``nvars`` fields of struct code ``code``, built once: a
+    layout is immutable, so every call that needs it shares it."""
+    return Struct(f"<{nvars}{code}")
+
+
+@cache
+def _units(layout: Struct) -> tuple[int, ...]:
     """The packed key of each variable's first power, in variable order."""
     bits = 8 * _WIDTHS[layout.format[-1]]
-    return [1 << shift for shift in range(0, 8 * layout.size, bits)]
+    return tuple(1 << shift for shift in range(0, 8 * layout.size, bits))
 
 
-def _pack(polys: list["PhasePoly"], layout: Struct) -> tuple[Packed, list[int]]:
+def _pack(polys: list["PhasePoly"], layout: Struct, first: int = 0) -> tuple[Packed, list[int]]:
     """The terms of ``polys`` in packed form, in order, and each one's
-    denominator; the keys of ``polys[u]`` carry the tag ``u`` in a field
-    above the top exponent field (tag 0: plain packed exponents)."""
-    pack, tag, step = layout.pack, 0, 1 << 8 * layout.size
+    denominator; the keys of ``polys[u]`` carry the tag ``first + u`` in a
+    field above the top exponent field (tag 0: plain packed exponents)."""
+    step = 1 << 8 * layout.size
+    pack, tag = layout.pack, first * step
     packed: Packed = []
     dens = []
     for p in polys:
@@ -130,13 +144,22 @@ def _unpack(ctx: PhaseContext, acc: Mapping[int, int], layout: Struct, den: int)
 
 def _tagged(acc: Mapping[int, int], layout: Struct) -> list[tuple[int, Expvec, int]]:
     """``(tag, exponents, numerator)`` for each nonzero entry of ``acc``, whose
-    keys carry a tag (``_pack``)."""
+    keys carry a tag (``_pack``).
+
+    A monomial that recurs under several tags is decoded once per call: the
+    untagged key is looked up before it is unpacked, and every entry that
+    has it shares one exponent tuple.
+    """
     size, unpack, shift = layout.size, layout.unpack, 8 * layout.size
+    decoded: dict[int, Expvec] = {}
     out = []
     for key, num in acc.items():
         if num:
             u = key >> shift
-            out.append((u, unpack((key - (u << shift)).to_bytes(size, "little")), num))
+            key -= u << shift
+            if (exps := decoded.get(key)) is None:
+                exps = decoded[key] = unpack(key.to_bytes(size, "little"))
+            out.append((u, exps, num))
     return out
 
 

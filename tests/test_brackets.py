@@ -13,6 +13,7 @@ from phasealg import (
     PhasePoly,
     brackets,
     moyal_bracket,
+    parse_expression,
     poisson_bracket,
 )
 from phasealg.poly import _layout, _maxima, _pack, _product_into, _units, _unpack
@@ -276,9 +277,9 @@ def test_single_walk_matches_per_k_reference():
 
 
 def test_batched_kernel_matches_single_brackets():
-    """``brackets._blocks`` walks every left operand at once, each term's
-    packed keys tagged with its index in a field above the top exponent
-    field; each block, its nonzero integer numerators read over its
+    """``brackets._PackedBasis.blocks`` walks every left operand at once, each
+    term's packed keys tagged with its index in a field above the top
+    exponent field; each block, its nonzero integer numerators read over its
     denominator, must be that term's own bracket, as its term dict.  From
     the same walk ``brackets._brackets_of(s, terms)`` must give each
     ``bracket(s, T)`` as the public bracket does, through ``_unpack``.
@@ -294,7 +295,7 @@ def test_batched_kernel_matches_single_brackets():
         terms = [PhasePoly.constant(cases[0][0].ctx, 1), *lefts.values()]
         for s in rights.values():
             for moyal, bracket in ((False, poisson_bracket), (True, moyal_bracket)):
-                blocks, dens = brackets._blocks(terms, s, moyal)
+                blocks, dens = brackets._PackedBasis(s.ctx, moyal, [*terms, s]).blocks(len(terms))
                 assert all(type(n) is int and n for block in blocks for n in block.values())
                 assert [{e: Fraction(n, den) for e, n in block.items()}
                         for block, den in zip(blocks, dens)] == [bracket(t, s)._terms for t in terms]
@@ -326,3 +327,24 @@ def test_moyal_walk_is_not_cubic_in_the_degree(monkeypatch):
     point = oracle.random_point(random.Random(127), 2)
     want = oracle.bracket_at_point(dict(a.term_items()), dict(b.term_items()), 1, "moyal", hbar, point)
     assert oracle.evaluate(out.term_items(), point) == want
+
+
+def test_packed_basis_widens_and_keeps_every_walk():
+    """A ``_PackedBasis`` whose walks need 1-byte, then 2-byte fields widens
+    once, re-packing every packed element, and every block of every walk is
+    still the per-pair bracket, Poisson and Moyal at hbar 3/2, whose series
+    here has terms past the Poisson one."""
+    ctx = PhaseContext(2, hbar=Fraction(3, 2), max_degree=400)
+    polys = [parse_expression(text, ctx) for text in (
+        "q2^3*p2^2 + q1*p1", "q1^100*q2*p2^3 - 2/3*p1^2", "q1^120*q2^3*p2^3",
+        "q1^200*q2^4*p2 + 5*p1^3", "q1^30*p1^2*q2^3 - q2")]
+    for moyal, bracket in ((False, poisson_bracket), (True, moyal_bracket)):
+        walks = brackets._PackedBasis(ctx, moyal, polys)
+        sizes = []
+        for j in range(1, len(polys)):
+            blocks, dens = walks.blocks(j)
+            sizes.append(walks.layout.size // ctx.nvars)
+            assert [{e: Fraction(n, den) for e, n in block.items()} for block, den
+                    in zip(blocks, dens)] == [bracket(polys[i], polys[j])._terms for i in range(j)]
+        assert sizes == [1, 1, 2, 2]
+    assert moyal_bracket(polys[0], polys[2]) != poisson_bracket(polys[0], polys[2])

@@ -667,6 +667,54 @@ def test_packed_field_overflow_exits_two(route, command, tmp_path, capsys):
     assert err == f"error: exponent {left} + {right} of q1 does not fit a 64-bit packed field\n"
 
 
+def test_close_sizes_each_walk_by_its_own_operands(tmp_path, capsys):
+    """A walk's packed fields hold the sum of its two operands' largest
+    exponents, not twice the largest exponent so far: ``close`` on
+    q1^(2^63) and q1 (2^63 + 1 fits 64 bits, 2^64 would not) exits 0 with a
+    basis of 2, while ``invariants``, whose ansatz multiplies A by itself,
+    keeps its exit 2 and its error."""
+    path = write_problem(tmp_path, "big.json", {
+        "dof": 1, "generators": {"A": f"q1^{2 ** 63}", "B": "q1"},
+        "options": {"max_degree": 2 ** 65}})
+    assert main(["close", path]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["closure"]["size"] == 2
+    assert err == ""
+    assert main(["invariants", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: exponent {2 ** 63} + {2 ** 63} of q1 does not fit a 64-bit packed field\n"
+
+
+# A list option whose first value is negative, given as two words.
+NEGATIVE_VALUES = {
+    "composite-internal": (
+        ["spectrum", "composite", "--mode", "right", "--internal", "-1,2", "--f", "1"], "--internal"),
+    "internal-domain": (
+        ["spectrum", "internal", "--potential", "harmonic", "--omega", "1",
+         "--domain", "-10,10", "--count", "2"], "--domain"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_VALUES))
+def test_negative_value_parses_as_its_equals_form(name, capsys):
+    """``--opt -1,2`` gives the report bytes of ``--opt=-1,2``; an option whose
+    value is missing, before another option or at the end, is still an
+    argparse error, exit 2 with usage."""
+    argv, option = NEGATIVE_VALUES[name]
+    i = argv.index(option)
+    assert main([*argv[:i], f"{option}={argv[i + 1]}", *argv[i + 2:]]) == 0
+    want = capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr() == want
+    for missing in ([*argv[:i + 1], *argv[i + 2:]], [*argv[:i], *argv[i + 2:], option]):
+        assert main(missing) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: ")
+        assert f"argument {option}: expected one argument" in err
+
+
 def test_readme_cli_examples_succeed(tmp_path, monkeypatch, capsys):
     """Every line of README's "## Command line" sh block exits 0."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +32,7 @@ from phasealg import (
     verify_invariant,
 )
 from phasealg.cli import load_problem
+from phasealg.poly import _layout, _maxima
 
 
 def _elements(ctx, exprs):
@@ -622,3 +624,116 @@ def test_closure_and_verify_build_no_fraction_blocks(monkeypatch):
             verify_invariant(cl.basis[0].poly, cl)
             assert calls == [len(cl.basis)]
             calls.clear()
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+# Seeds whose brackets first reach an exponent above 127: {A, B} = q1^200,
+# so the walk of g1 needs q1's 100 + 200 in one field and the layout widens
+# from 1-byte to 2-byte fields mid-closure; C rotates A into B.
+WIDENING = (("A", "q1^100*q2"), ("B", "q1^100*p2"), ("C", "q2^2 + p2^2"))
+# Two widenings, 1 to 2 bytes at C's walk and 2 to 4 bytes at g2's
+# (q1^70000 = {C, E} against q1^40000 in C).
+TWO_WIDENINGS = (("A", "q1^100*q2"), ("B", "q1^100*p2"),
+                 ("C", "q1^40000*q3"), ("E", "q1^30000*p3"))
+
+
+def _count_packed(monkeypatch) -> list[int]:
+    """Spy on the kernel's ``_pack``: the list gets each call's operand count."""
+    operands = []
+    real = brackets._pack
+
+    def spy(polys, layout, first=0):
+        operands.append(len(polys))
+        return real(polys, layout, first)
+
+    monkeypatch.setattr(brackets, "_pack", spy)
+    return operands
+
+
+def _widenings(cl) -> list[int]:
+    """The walks j >= 2 whose layout is wider than every earlier walk's; walk
+    j's layout is the one a walk of its own takes, from the largest
+    exponents of ``basis[:j]`` and of ``basis[j]``."""
+    polys = [e.poly for e in cl.basis]
+    sizes = [_layout(cl.ctx, _maxima(*polys[:j]), _maxima(polys[j])).size
+             for j in range(1, len(polys))]
+    return [j for j in range(2, len(polys)) if sizes[j - 1] > max(sizes[:j - 1])]
+
+
+def test_sp6_closure_and_verify_pack_each_element_once(monkeypatch):
+    """The `algebra` pool's `sp6-full` instance 0 closes on 21 elements and
+    packs 21 operands, one per element (a re-pack of ``basis[:j]`` per walk
+    packed 230); its ``verify`` packs 21 more."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    ctx = PhaseContext(3)
+    polys = workloads.sp_generators(workloads._rng("algebra", "sp6-full", 0), 3)
+    seeds = [AlgebraElement(f"S{i + 1}", PhasePoly(ctx, terms)) for i, terms in enumerate(polys)]
+    operands = _count_packed(monkeypatch)
+    cl = close_algebra(seeds)
+    assert len(cl.basis) == 21
+    assert sum(operands) == 21
+    operands.clear()
+    assert cl.verify()
+    assert sum(operands) == 21
+
+
+def test_closure_packs_each_element_once_plus_one_repack_per_widening(monkeypatch):
+    """Closure and ``verify`` pack one operand per basis element plus every
+    packed element again per widening, over every closing ``CLOSURE_CASES``
+    run, 60 random closures and both widening closures (three widenings in
+    all)."""
+    rng = random.Random(2719)
+    cases = [case for runs in CLOSURE_CASES.values() for case in runs]
+    for _ in range(60):
+        ctx = PhaseContext(rng.randint(1, 2), hbar=rng.choice([0, 1, Fraction(3, 2)]), max_degree=64)
+        cases.append((_random_seeds(rng, ctx), dict(bracket_kind=rng.choice(["poisson", "moyal"]),
+                                                    max_basis=16, max_degree=8)))
+    for pairs, dof in ((WIDENING, 2), (TWO_WIDENINGS, 3)):
+        cases.append((_elements(PhaseContext(dof, max_degree=10 ** 6), pairs), dict(max_degree=10 ** 6)))
+    operands = _count_packed(monkeypatch)
+    closed = widenings = 0
+    for seeds, options in cases:
+        operands.clear()
+        try:
+            cl = close_algebra(seeds, **options)
+        except NonClosingError:
+            continue
+        closed += 1
+        walks = _widenings(cl)
+        widenings += len(walks)
+        # one per element once a walk is taken, plus j per widening at walk j
+        want = (len(cl.basis) if len(cl.basis) > 1 else 0) + sum(walks)
+        assert sum(operands) == want
+        operands.clear()
+        assert cl.verify()
+        assert sum(operands) == want
+    assert closed > 40
+    assert widenings == 3
+
+
+@pytest.mark.parametrize("kind, hbar", [("poisson", 1), ("moyal", Fraction(3, 2))])
+def test_widening_mid_closure_keeps_every_block(kind, hbar, monkeypatch):
+    """The layout widens from 1-byte to 2-byte fields at g1's walk, after A, B
+    and C are packed: every block of every walk equals the per-pair bracket,
+    and ``verify`` and ``check_jacobi_tensor`` accept the closure."""
+    ctx = PhaseContext(2, hbar=hbar, max_degree=400)
+    seen = []
+    real = brackets._PackedBasis.blocks
+
+    def spy(self, j):
+        out = real(self, j)
+        seen.append((j, self.layout.size, list(self.polys), out))
+        return out
+
+    monkeypatch.setattr(brackets._PackedBasis, "blocks", spy)
+    cl = close_algebra(_elements(ctx, WIDENING), bracket_kind=kind, max_degree=400)
+    assert [e.name for e in cl.basis] == ["A", "B", "C", "g1"]
+    assert [(j, size) for j, size, _, _ in seen] == [(1, 4), (2, 4), (3, 8)]
+    bracket = moyal_bracket if kind == "moyal" else poisson_bracket
+    for j, _, polys, (blocks, dens) in seen:
+        assert [{e: Fraction(n, den) for e, n in block.items()} for block, den
+                in zip(blocks, dens)] == [bracket(polys[i], polys[j])._terms for i in range(j)]
+    assert cl.verify()
+    assert cl.check_jacobi_tensor()

@@ -341,15 +341,15 @@ def test_rows_match_bracket_rows(name, monkeypatch):
 
 
 def _seed_block_rows(terms, closure):
-    """Reference rows: one ``brackets._blocks`` walk per seed, each in the
-    layout of that seed alone, each block sorted as ``_rows`` sorts it."""
+    """Reference rows: one ``brackets._PackedBasis`` walk per seed, each in
+    the layout of that seed alone, each block sorted as ``_rows`` sorts it."""
     seeds = set(closure.seed_names)
     moyal = closure.bracket_kind == "moyal"
     rows = {}
     for k, elem in enumerate(closure.basis):
         if elem.is_identity or elem.name not in seeds:
             continue
-        blocks, dens = brackets._blocks(terms, elem.poly, moyal)
+        blocks, dens = brackets._PackedBasis(closure.ctx, moyal, [*terms, elem.poly]).blocks(len(terms))
         for u, (block, den) in enumerate(zip(blocks, dens)):
             for mono, num in sorted(block.items(), key=_grlex_item, reverse=True):
                 rows.setdefault((k, mono), {})[u] = Fraction(num, den)
