@@ -19,13 +19,14 @@ breaks a row while its elimination's defect stands); ``find_center``
 checks its ansatz size against the cap before enumerating any monomial
 and builds its monomials as canonical terms, without validation.
 
-Both searches take their rows from the bracket kernel itself: one kernel
-set-up packs the ansatz once for every seed, and one walk per seed
-brackets every ansatz term with it (``brackets._entries``), under either
-bracket and at any hbar, so no bracket is taken per term.  The system is
-integer from the kernel to the nullspace: the walk's numerators, each
-scaled to one denominator per seed, are the rows, and ``nullspace``
-eliminates in integers, so ``Fraction``s are built only in the solutions.
+Both searches take their rows from the bracket kernel itself: the ansatz
+is one packed basis (``brackets._PackedBasis``), packed once per field
+width its walks need, and one walk per seed brackets every ansatz term
+with it (``brackets._entries``), under either bracket and at any hbar, so
+no bracket is taken per term.  The system is integer from the kernel to
+the nullspace: the walk's numerators, each scaled to one denominator per
+seed, are the rows, and ``nullspace`` eliminates in integers, so
+``Fraction``s are built only in the solutions.
 The one contract left is row order (seed, ansatz term,
 graded-lex-descending monomial): ``_rows`` sorts each walk's unordered
 entries, because ``nullspace``'s output depends on the order while its
@@ -99,12 +100,13 @@ def _rows(terms: Sequence[PhasePoly], closure: LieClosure) -> tuple[dict, dict[i
     Rows are keyed ``(basis index k of s, monomial)``, in order of first
     appearance: seed, then ansatz term, then graded-lex-descending monomial
     of ``bracket(T_u, s)``; each row maps ansatz index ``u`` to an integer,
-    its coefficient times the seed's denominator ``dens[k]``.  One kernel
-    set-up packs the terms once for every seed, and one walk per seed
-    brackets every term with it (``brackets._entries``), under either bracket
-    and at any hbar.  The walk's numerators are read straight into the rows:
-    term ``u``'s are over its own denominator, so they are scaled by
-    ``dens[k]`` over it, with ``dens[k]`` the lcm of the walk's denominators.
+    its coefficient times the seed's denominator ``dens[k]``.  The terms are
+    one packed basis, re-packed only when a seed's walk needs wider fields,
+    and one walk per seed brackets every term with it
+    (``brackets._entries``), under either bracket and at any hbar.  The
+    walk's numerators are read straight into the rows: term ``u``'s are
+    over its own denominator, so they are scaled by ``dens[k]`` over it,
+    with ``dens[k]`` the lcm of the walk's denominators.
     The walk's entries are unordered and are sorted here only because
     ``nullspace`` depends on this order.
     """

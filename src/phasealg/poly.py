@@ -19,15 +19,16 @@ Products and brackets run on a packed form: each exponent vector becomes
 one int with a byte-aligned field per variable, all fields of one width
 (1, 2, 4 or 8 bytes), and the coefficients become int numerators over
 their operand's denominator; several operands share one list by a tag
-above the fields.  A product packs its operands per call; a closure's
-basis stays packed across its walks (``brackets._PackedBasis``).  Each
-layout (``struct.Struct``) and its unit keys are built once per process
-and shared.  Packing and unpacking a term is one ``struct`` call each
-way.  The format belongs to this module: ``_unpack`` reads a result as a
-polynomial, with ``Fraction`` built once per distinct numerator, and
-``_tagged`` reads a tagged one as integer entries, decoding each distinct
-monomial once, which only ``brackets`` takes.  An exponent a call could
-reach that needs more than 64 bits raises ``OverflowError``.
+above the fields.  A product packs its operands per call; every bracket
+walk packs through one owner, ``brackets._PackedBasis``, whose basis stays
+packed across its walks.  Each layout (``struct.Struct``) and its unit
+keys are built once per process and shared.  Packing and unpacking a term
+is one ``struct`` call each way.  The format belongs to this module:
+``_unpack`` reads a result as a polynomial, with ``Fraction`` built once
+per distinct numerator, and ``_tagged`` reads a tagged one as integer
+entries, decoding each distinct monomial once, which only ``brackets``
+takes.  An exponent a call could reach that needs more than 64 bits
+raises ``OverflowError``.
 """
 
 from __future__ import annotations

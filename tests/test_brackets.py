@@ -348,3 +348,59 @@ def test_packed_basis_widens_and_keeps_every_walk():
                     in zip(blocks, dens)] == [bracket(polys[i], polys[j])._terms for i in range(j)]
         assert sizes == [1, 1, 2, 2]
     assert moyal_bracket(polys[0], polys[2]) != poisson_bracket(polys[0], polys[2])
+
+
+def test_moyal_series_stops_at_the_slot_caps(monkeypatch):
+    """On ``{q1^n p2, q2^(n+1) p1^3}`` only the slots d/dq1 (x) d/dp1 (cap 3)
+    and -d/dp2 (x) d/dq2 (cap 1) are open, so no composition spends more than
+    4 derivatives: the series has at most 5 scales (k <= 4), where the
+    operands' total degrees alone would allow n + 1, and still equals the
+    per-k reference."""
+    seen = []
+    walk = brackets._walk
+
+    def spy(*args):
+        seen.append(len(args[2]))
+        return walk(*args)
+
+    monkeypatch.setattr(brackets, "_walk", spy)
+    ctx = PhaseContext(2, hbar=Fraction(3, 2), max_degree=4000)
+    n = 1000
+    a = PhasePoly.monomial(ctx, (n, 0, 0, 1))
+    b = PhasePoly.monomial(ctx, (0, n + 1, 3, 0))
+    out = moyal_bracket(a, b)
+    assert seen and max(seen) <= 5
+    monkeypatch.setattr(brackets, "_walk", walk)
+    assert out == reference_series(a, b, min(a.total_degree(), b.total_degree()))
+
+
+@pytest.mark.parametrize("moyal", [False, True], ids=["poisson", "moyal-hbar3/2"])
+def test_entries_widen_per_seed_and_keep_every_entry(moyal, monkeypatch):
+    """Seeds whose walks against one ansatz need 1-, 2- and then 4-byte
+    fields: ``_entries`` packs the ansatz once per layout, and every entry,
+    its numerator read over its term's denominator, is that term's own
+    bracket with the seed."""
+    ctx = PhaseContext(2, hbar=Fraction(3, 2), max_degree=10 ** 6)
+    terms = [parse_expression(text, ctx) for text in (
+        "q1*p1 + 2/5*q2", "q1^2*p2 - 3/2*p1", "p1^3*q2^2 + 1", "q2*p2^2")]
+    seeds = [parse_expression(text, ctx) for text in (
+        "q1^2*p1*p2 + 7/3*p2", "q1^300*p1^2 - q2*p2", "q1*p1^70000 + 1/2*q2^3")]
+    assert [_layout(ctx, _maxima(*terms), _maxima(s)).size // ctx.nvars for s in seeds] == [1, 2, 4]
+    packed = []
+    real = brackets._pack
+
+    def spy(polys, layout, first=0):
+        packed.append(len(polys))
+        return real(polys, layout, first)
+
+    monkeypatch.setattr(brackets, "_pack", spy)
+    walks = brackets._entries(terms, seeds, moyal)
+    assert packed == [len(terms), 1] * 3
+    bracket = moyal_bracket if moyal else poisson_bracket
+    for seed, (entries, dens) in zip(seeds, walks):
+        got = [{} for _ in terms]
+        for u, exps, num in entries:
+            got[u][exps] = Fraction(num, dens[u])
+        assert got == [bracket(t, seed)._terms for t in terms]
+    # the Moyal series has terms past the Poisson one here
+    assert any(moyal_bracket(t, s) != poisson_bracket(t, s) for t in terms for s in seeds)

@@ -370,10 +370,12 @@ SHARED_LAYOUT_CASES = {
 
 @pytest.mark.parametrize("name", sorted(SHARED_LAYOUT_CASES))
 def test_shared_layout_rows_match_per_seed_blocks(name):
-    """One layout for every seed gives the rows that a walk per seed in its
-    own layout gives, key for key, value for value (each integer read over
-    its seed's denominator) and in insertion order, also where the seeds'
-    own layouts differ in field width."""
+    """One packed ansatz, kept in the widest layout its walks have needed so
+    far, gives the rows that a walk per seed in its own layout gives, key
+    for key, value for value (each integer read over its seed's
+    denominator) and in insertion order, also where the seeds' own layouts
+    differ in field width, so a later seed walks a layout wider than its
+    own."""
     cl = SHARED_LAYOUT_CASES[name]()
     seeds = [e.poly for e in cl.basis if not e.is_identity and e.name in cl.seed_names]
     for degree in (1, 2, 3):
@@ -387,6 +389,20 @@ def test_shared_layout_rows_match_per_seed_blocks(name):
             list(r.items()) for r in expected.values()]
 
 
+def _spy_on_pack(monkeypatch) -> list[tuple[list, int]]:
+    """Spy on the kernel's ``_pack``: the list gets each call's operands and
+    first tag."""
+    calls = []
+    real = brackets._pack
+
+    def spy(polys, layout, first=0):
+        calls.append((list(polys), first))
+        return real(polys, layout, first)
+
+    monkeypatch.setattr(brackets, "_pack", spy)
+    return calls
+
+
 @pytest.mark.parametrize("search", ["center", "casimir"])
 def test_search_packs_its_ansatz_once(search, monkeypatch):
     """One search packs its ansatz once and each seed once, not the
@@ -395,14 +411,7 @@ def test_search_packs_its_ansatz_once(search, monkeypatch):
     cl = cm_closure(total_mass=3, x0=Fraction(1, 2))
     nseeds = sum(1 for e in cl.basis if not e.is_identity and e.name in cl.seed_names)
     assert nseeds == 4
-    packed = []
-    real = brackets._pack
-
-    def spy(polys, layout):
-        packed.append(len(polys))
-        return real(polys, layout)
-
-    monkeypatch.setattr(brackets, "_pack", spy)
+    calls = _spy_on_pack(monkeypatch)
     if search == "center":
         find_center(cl, max_total_degree=3)
         size = comb(cl.ctx.nvars + 3, 3)
@@ -410,4 +419,31 @@ def test_search_packs_its_ansatz_once(search, monkeypatch):
         find_casimir(cl)
         n = sum(1 for e in cl.basis if not e.is_identity)
         size = n * (n + 1) // 2 + n + 1
-    assert packed == [size] + [1] * nseeds
+    assert [len(polys) for polys, _ in calls] == [size] + [1] * nseeds
+    assert [first for _, first in calls] == [0] * (1 + nseeds)
+
+
+@pytest.mark.parametrize("search, layouts", [("center", 2), ("casimir", 1)])
+def test_search_packs_its_ansatz_once_per_layout(search, layouts, monkeypatch):
+    """On the mixed-width closure a search packs its ansatz once per layout
+    and each seed once: a seed walk that needs wider fields than every
+    earlier one re-packs the ansatz before its seed, and any other packs
+    only its seed.  The degree-3 centre ansatz fits 1-byte fields against
+    q1*p1 and needs 2-byte ones against q2^300; the Casimir ansatz holds
+    q2^600 and needs 2-byte fields against every seed."""
+    cl = SHARED_LAYOUT_CASES["mixed-width-poisson"]()
+    seeds = [e.poly for e in cl.basis if not e.is_identity and e.name in cl.seed_names]
+    assert len(seeds) == 3
+    calls = _spy_on_pack(monkeypatch)
+    find_center(cl, max_total_degree=3) if search == "center" else find_casimir(cl)
+    ansatz = calls[0][0]
+    want, widest = [], 0
+    for seed in seeds:
+        size = _layout(cl.ctx, _maxima(*ansatz), _maxima(seed)).size
+        if size > widest:
+            widest = size
+            want.append(len(ansatz))
+        want.append(1)
+    assert want.count(len(ansatz)) == layouts
+    assert [len(polys) for polys, _ in calls] == want
+    assert [first for _, first in calls] == [0] * len(want)

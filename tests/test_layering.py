@@ -3,7 +3,9 @@
 The packed term format stays inside ``poly`` and ``brackets``: ``poly`` owns
 the format (layouts, packing, unpacking, tagged entries) and ``brackets``
 owns the kernel walk and every reader of it; every other module takes
-brackets as integer rows or polynomials from ``brackets``.
+brackets as integer rows or polynomials from ``brackets``.  Inside them,
+``poly._pack`` has two callers: ``PhasePoly.__mul__`` packs a product's
+operands and ``brackets._PackedBasis._run`` packs every bracket walk's.
 
 numpy and scipy stay inside ``spectra._float_layer``, which the FD solver
 calls when it runs, so importing the package loads neither.
@@ -14,7 +16,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "phasealg"
 OWNERS = {"poly", "brackets"}
-PACKED_NAMES = {"_series", "_tagged", "_pack", "_unpack", "_layout", "_units", "_product_into"}
+PACKED_NAMES = {"_tagged", "_pack", "_unpack", "_layout", "_units", "_product_into"}
 FLOAT_LIBRARIES = {"numpy", "scipy"}
 
 
@@ -29,6 +31,42 @@ def test_only_poly_and_brackets_import_the_packed_format():
         if name not in OWNERS and imported & PACKED_NAMES:
             offenders[name] = sorted(imported & PACKED_NAMES)
     assert offenders == {}
+
+
+PACK_CALLERS = {("poly", "PhasePoly.__mul__"), ("brackets", "_PackedBasis._run")}
+
+
+def _pack_callers(tree: ast.Module) -> set[str]:
+    """The qualified name of each function under ``tree`` that calls
+    ``_pack`` (or ``poly._pack``) itself; a method's is ``Class.method``."""
+    callers = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (isinstance(func, ast.Name) and func.id == "_pack"
+                        or isinstance(func, ast.Attribute) and func.attr == "_pack"
+                        and isinstance(func.value, ast.Name) and func.value.id == "poly"):
+                    callers.add(scope or "<module>")
+            visit(child, scope)
+
+    visit(tree, "")
+    return callers
+
+
+def test_only_the_packed_basis_and_the_product_call_pack():
+    """One owner packs every bracket walk: a second packer (a free function
+    in ``brackets``, say) is a fork of the kernel's one per-walk set-up,
+    ``_PackedBasis._run``."""
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= {(path.stem, name) for name in _pack_callers(tree)}
+    assert found == PACK_CALLERS
 
 
 def _float_imports(tree: ast.AST) -> list[ast.stmt]:
