@@ -72,6 +72,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from operator import add
 from struct import Struct
 from typing import Iterable
 
@@ -120,9 +121,10 @@ class _PackedBasis:
     flat list, its keys tagged with its basis index, so ``polys[:j]`` is a
     prefix of the list; ``blocks(j)`` reads ``polys[j]`` from its own packed
     slice, and ``walk(b)`` packs only ``b``.  A walk keeps the current layout
-    while it holds that walk's ``max_a[i] + max_b[i]``, the left operands'
-    largest exponents plus the right operand's; otherwise it takes
-    ``_layout`` of them, and every packed element is packed again.  Fields
+    while its fields hold that walk's ``max_a[i] + max_b[i]``, the left
+    operands' largest exponents plus the right operand's, which costs one
+    comparison with the fields' limit; otherwise it takes ``_layout`` of
+    them, and every packed element is packed again.  Fields
     are 1, 2, 4 or 8 bytes wide, so the layout widens at most three times,
     and an exponent past 64 bits raises ``OverflowError`` at the same walk,
     with the same text, as a layout of its own per walk would.  For that
@@ -141,6 +143,7 @@ class _PackedBasis:
         # (n, largest exponents, largest total degree) over polys[:n], the last prefix known
         self.prefix: tuple[int, list[int], int] = (0, [], -1)
         self.layout: Struct | None = None
+        self.limit = 0                      # the first exponent the layout's fields cannot hold
         self.packed: Packed = []
         self.dens: list[int] = []           # the denominator of each packed element
 
@@ -184,9 +187,9 @@ class _PackedBasis:
         degree_b = b.total_degree() if quantum else -1
         if own:   # polys[:n + 1] is the next walk's prefix
             self.prefix = (n + 1, list(map(max, max_a, max_b)), max(degree_a, degree_b))
-        layout = _layout(self.ctx, max_a, max_b)
-        if self.layout is None or layout.size > self.layout.size:
-            self.layout, self.packed, self.dens = layout, [], []
+        if max(map(add, max_a, max_b)) >= self.limit:   # the layout cannot hold this walk
+            self.layout, self.packed, self.dens = _layout(self.ctx, max_a, max_b), [], []
+            self.limit = 1 << 8 * self.layout.size // self.ctx.nvars
         layout, done, stop = self.layout, len(self.dens), n + 1 if own else n
         if done < stop:
             packed, dens = _pack(self.polys[done:stop], layout, done)

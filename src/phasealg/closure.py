@@ -19,7 +19,12 @@ a walk needs wider fields.  Both, and ``span_reduce``, reduce
 term maps through ``linsolve.Echelon``, pivoting on the graded-lex leading
 monomial.  Closure and ``verify`` hand it each bracket as the kernel's
 integer numerators over one denominator, so a ``Fraction`` is built only
-for a structure constant and for an admitted element.
+for a structure constant and for an admitted element.  Their pair loop asks
+only for each bracket's remainder and keeps the bracket; the structure
+constants are its coordinates, which are unique because the basis is
+linearly independent, so they are read after the loop, against the final
+echelon, in one batch (``Echelon.coordinates``).  A closure that stops
+with ``NonClosingError`` reads no coordinates.
 """
 
 from __future__ import annotations
@@ -55,6 +60,16 @@ def _span(basis: Sequence[AlgebraElement]) -> Echelon:
     return ech
 
 
+def _structure(ech: Echelon, rows: dict[tuple[int, int], tuple[dict[Expvec, int], int]]
+               ) -> dict[tuple[int, int, int], Fraction]:
+    """The nonzero structure constants ``(i, j, k)`` of each pair ``(i, j)``
+    of ``rows``, whose bracket is a row in the span of ``ech`` given as
+    integer numerators over one denominator, from one batch of coordinates
+    (``Echelon.coordinates``)."""
+    return {(i, j, k): c for (i, j), coords in zip(rows, ech.coordinates(rows.values()))
+            for k, c in coords.items()}
+
+
 def span_reduce(
     p: PhasePoly, basis: Sequence[AlgebraElement]
 ) -> tuple[list[Fraction], PhasePoly]:
@@ -66,7 +81,9 @@ def span_reduce(
     """
     for elem in basis:
         p.ctx.require_same(elem.poly.ctx)
-    coords, rem = _span(basis).reduce(p._terms)
+    span = _span(basis)
+    (coords,) = span.coordinates([(p._terms, None)])
+    rem = span.remainder(p._terms)
     return [coords.get(i, Fraction(0)) for i in range(len(basis))], PhasePoly._build(p.ctx, rem)
 
 
@@ -94,18 +111,20 @@ class LieClosure:
     def verify(self) -> bool:
         """Recompute every bracket, one walk per j, and check that each lies
         in the span and that their nonzero coordinates, keyed ``(i, j, k)``,
-        are exactly ``structure``: an entry no bracket makes fails."""
+        are exactly ``structure``: an entry no bracket makes fails.  The
+        coordinates are read once every bracket is known to lie in the span,
+        in one batch (``_structure``)."""
         walks = _PackedBasis(self.ctx, self.bracket_kind == "moyal", [e.poly for e in self.basis])
         span = _span(self.basis)
-        table: dict[tuple[int, int, int], Fraction] = {}
+        rows: dict[tuple[int, int], tuple[dict[Expvec, int], int]] = {}
         for j in range(1, len(self.basis)):
             blocks, dens = walks.blocks(j)
             for i, (br, den) in enumerate(zip(blocks, dens)):
-                coords, rem = span.reduce(br, den)
-                if rem:
-                    return False
-                table.update(((i, j, k), c) for k, c in coords.items())
-        return table == self.structure
+                if br:
+                    if span.remainder(br, den):
+                        return False
+                    rows[i, j] = br, den
+        return _structure(span, rows) == self.structure
 
     def check_jacobi_tensor(self) -> bool:
         """Jacobi identity as a contraction over the nonzero structure constants.
@@ -167,7 +186,6 @@ def close_algebra(
     basis: list[AlgebraElement] = []
     walks = _PackedBasis(ctx, moyal)
     ech = Echelon(_leading)
-    structure: dict[tuple[int, int, int], Fraction] = {}
     gen_counter = 0
 
     def fresh_name() -> str:
@@ -179,10 +197,10 @@ def close_algebra(
                 names_seen.add(name)
                 return name
 
-    def admit(rem: dict[Expvec, Fraction], seed: AlgebraElement | None = None) -> Fraction:
+    def admit(rem: dict[Expvec, Fraction], seed: AlgebraElement | None = None) -> None:
         """Append ``seed``, else ``rem`` scaled to lead 1 (the identity if ``rem``
-        is constant); return the lead.  The echelon gets the element's own
-        polynomial, so its row's coordinates are over the basis as stored."""
+        is constant).  The echelon gets the element's own polynomial, so its
+        row's coordinates are over the basis as stored."""
         head = _leading(rem)
         lead = rem[head]
         identity = not any(head)
@@ -195,33 +213,32 @@ def close_algebra(
         ech.add(elem.poly._terms, len(basis))
         walks.append(elem.poly)
         basis.append(elem)
-        return lead
 
     for seed in seeds:
-        _, rem = ech.reduce(seed.poly._terms)
-        if rem:
+        if rem := ech.remainder(seed.poly._terms):
             admit(rem, seed)
 
+    rows: dict[tuple[int, int], tuple[dict[Expvec, int], int]] = {}   # the nonzero brackets
     j = 1
     while j < len(basis):
         blocks, dens = walks.blocks(j)
         for i, (br, den) in enumerate(zip(blocks, dens)):
-            if (degree := max(map(sum, br), default=-1)) > max_degree:
+            if not br:
+                continue
+            if (degree := max(map(sum, br))) > max_degree:
                 reason = f"bracket degree {degree} exceeds max_degree {max_degree}"
                 raise NonClosingError(reason, (basis[i].name, basis[j].name), len(basis))
-            coords, rem = ech.reduce(br, den)
-            if rem:
+            if rem := ech.remainder(br, den):
                 if len(basis) >= max_basis:
                     reason = f"basis size exceeds max_basis {max_basis}"
                     raise NonClosingError(reason, (basis[i].name, basis[j].name), len(basis))
-                idx = len(basis)   # admit appends: take the index first
-                coords[idx] = admit(rem)
-            structure.update(((i, j, k), c) for k, c in coords.items())
+                admit(rem)
+            rows[i, j] = br, den
         j += 1
 
     return LieClosure(
         basis=tuple(basis),
-        structure=structure,
+        structure=_structure(ech, rows),
         bracket_kind=bracket_kind,
         seed_names=tuple(s.name for s in seeds),
         ctx=ctx,

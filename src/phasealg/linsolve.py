@@ -7,22 +7,28 @@ return a vector that breaks a row.  Both engines reduce integer rows, and
 ``_integer_row`` is the one conversion of a row of rationals.  Both are
 deterministic: identical inputs give identical outputs.
 
-``Echelon.reduce`` is one integer linear combination of the stored rows.
-It takes a row as integer numerators over one denominator, as the bracket
-kernel gives it, so closure and ``verify`` hand it each bracket with no
+``Echelon`` reads a row against its span in two halves, each one integer
+linear combination of the stored rows: ``remainder`` gives the part off the
+span, ``coordinates`` the part in it, for a batch of rows at once.  Both
+take a row as integer numerators over one denominator, as the bracket
+kernel gives it, so closure and ``verify`` hand them each bracket with no
 ``Fraction`` per term; a ``Fraction`` row (the seeds, an admitted element,
-``span_reduce``, ``invert``) is converted once.  Both it and ``sub_scaled``
-build a ``Fraction`` only per output entry, so the gcd that normalizes a
-``Fraction`` runs once per entry, not once per arithmetic operation;
-``sub_scaled`` with factor -1 (a sum) builds none for an entry new to the
-row, which keeps the other operand's ``Fraction``.
+``span_reduce``, ``invert``) is converted once.  Coordinates are read once
+per batch, from a table of the stored coordinates over one denominator per
+coordinate column, so closure and ``verify`` read every structure constant
+after their pair loop, and a closure that stops early reads none.
+``remainder``, ``coordinates`` and ``sub_scaled`` build a ``Fraction``
+only per output entry, so the gcd that normalizes a ``Fraction`` runs once
+per entry, not once per arithmetic operation; ``sub_scaled`` with factor
+-1 (a sum) builds none for an entry new to the row, which keeps the other
+operand's ``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Hashable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping
 
 
 def sub_scaled(row: dict, other: Mapping, factor: Fraction, skip: Hashable = None) -> None:
@@ -83,8 +89,8 @@ class Echelon:
     ``coords`` expresses it over the keys passed to ``add``.  ``head``
     picks the pivot of a new row among its columns (default: the smallest).
 
-    ``reduce`` and ``add`` take a row as integer numerators over one
-    denominator ``den``, as the bracket kernel gives it
+    ``remainder``, ``coordinates`` and ``add`` take a row as integer
+    numerators over one denominator ``den``, as the bracket kernel gives it
     (``brackets._PackedBasis.blocks``).  Without ``den`` the row holds
     rationals and is converted once (``_integer_row``).  Because of the
     reduced form, reducing a row is one linear combination: the factor for
@@ -93,64 +99,100 @@ class Echelon:
         rem = row off the pivots - sum_c row[c] * rows[c],
         coords = sum_c row[c] * coords[c].
 
-    It is summed in integers, over ``den`` times a running lcm per output
-    entry.  Each stored row and its coordinates are also kept, built on
-    first use and dropped when ``add`` back-substitutes into the row, as
-    ``(column, numerator, denominator)`` triples.  Down one column the
-    denominators mostly divide one another (across a row they do not: one
-    denominator per row grows to thousands of bits on an sp(6) closure).
-    One ``Fraction`` is built per output entry, so a row in the span costs
-    ``Fraction``s only for its coordinates.
+    The two halves are read apart.  ``remainder`` sums the first in
+    integers, over ``den`` times a running lcm per output entry, from each
+    stored row kept off its pivot as ``(column, numerator, denominator)``
+    triples, built on first use and dropped when ``add`` back-substitutes
+    into the row.  Down one column the denominators mostly divide one
+    another (across a row they do not: one denominator per row grows to
+    thousands of bits on an sp(6) closure).  A row in the span builds no
+    ``Fraction``.
+
+    ``coordinates`` sums the second for a batch of rows at once.  It reads
+    the coordinates of the stored rows the batch hits once, as integers
+    over one denominator per coordinate column, the lcm of that column's
+    denominators; each row's coordinates are then integer dot products, and
+    one ``Fraction`` is built per nonzero output entry.  The inputs ``add``
+    keeps are linearly independent, so a row in the span has one set of
+    coordinates, and a caller can read them after its last ``add``, against
+    the final rows: closure and ``verify`` read every structure constant in
+    one batch.  ``add`` reads a new row's coordinates the same way, as a
+    batch of one row, and only when the row reaches a stored row.
     """
 
     def __init__(self, head: Callable[[dict], Hashable] = min):
         self.head = head
         self.rows: dict[Hashable, tuple[dict, dict]] = {}
-        # pivot -> the row off its pivot and the coordinates, as integer triples
-        self._packed: dict[Hashable, tuple[list, list]] = {}
+        # pivot -> the row off its pivot, as integer triples
+        self._packed: dict[Hashable, list] = {}
 
-    def _pack(self, pivot: Hashable) -> tuple[list, list]:
+    def _pack(self, pivot: Hashable) -> list:
         packed = self._packed.get(pivot)
         if packed is None:
-            row, coords = self.rows[pivot]
-            packed = self._packed[pivot] = (
-                [(c, v.numerator, v.denominator) for c, v in row.items() if c != pivot],
-                [(k, v.numerator, v.denominator) for k, v in coords.items()],
-            )
+            packed = self._packed[pivot] = [(c, v.numerator, v.denominator)
+                                            for c, v in self.rows[pivot][0].items() if c != pivot]
         return packed
 
-    def _combine(self, row: Mapping, den: int | None) -> tuple[int, dict, dict, dict, dict]:
-        """``reduce``'s remainder and coordinates in integers: entry ``c`` of
-        each is ``num[c] / (den * dens[c])``.  A row of rationals (no
-        ``den``) is converted by ``_integer_row``.
-        Returns ``(den, rem nums, rem dens, coords nums, coords dens)``."""
+    def _reduce(self, row: Mapping, den: int | None) -> tuple[int, dict, dict, dict]:
+        """``remainder`` in integers, entry ``c`` being ``nums[c] / (den *
+        dens[c])``, and the row's entries at pivots, its ``hits``.  A row of
+        rationals (no ``den``) is converted by ``_integer_row``.
+        Returns ``(den, nums, dens, hits)``."""
         if den is None:
             row, den = _integer_row(row)
         rows = self.rows
-        hits = []
-        rem_n: dict = {}
-        rem_d: dict = {}
+        hits = {}
+        nums: dict = {}
+        dens: dict = {}
         for c, n in row.items():
             if c in rows:
-                hits.append((n, self._pack(c)))
+                hits[c] = n
             else:
-                rem_n[c] = n
-                rem_d[c] = 1
-        coords_n: dict = {}
-        coords_d: dict = {}
-        for n, (prest, pcoords) in hits:
-            _accumulate(rem_n, rem_d, -n, prest)
-            _accumulate(coords_n, coords_d, n, pcoords)
-        return den, rem_n, rem_d, coords_n, coords_d
+                nums[c] = n
+                dens[c] = 1
+        for c, n in hits.items():
+            _accumulate(nums, dens, -n, self._pack(c))
+        return den, nums, dens, hits
 
-    def reduce(self, row: Mapping, den: int | None = None) -> tuple[dict, dict]:
-        """Split ``row`` into ``sum coords[key] * input[key] + rem``.
+    def remainder(self, row: Mapping, den: int | None = None) -> dict:
+        """``row`` less its part in the span: empty exactly when ``row`` lies
+        in the span."""
+        den, nums, dens, _ = self._reduce(row, den)
+        return {c: Fraction(n, den * dens[c]) for c, n in nums.items() if n}
 
-        ``rem`` is empty exactly when ``row`` lies in the span.
-        """
-        den, rem_n, rem_d, coords_n, coords_d = self._combine(row, den)
-        return ({k: Fraction(n, den * coords_d[k]) for k, n in coords_n.items() if n},
-                {c: Fraction(n, den * rem_d[c]) for c, n in rem_n.items() if n})
+    def coordinates(self, rows: Iterable[tuple[Mapping, int | None]]) -> list[dict]:
+        """For each ``(row, den)`` of ``rows``, in order, the coordinates of
+        its part in the span, ``row - remainder(row) = sum_key coords[key] *
+        input[key]``, with zero coordinates left out.
+
+        The stored coordinates the batch reaches form one table, each key's
+        over ``dens[i]``, the lcm of that key's denominators there; a row's
+        sum ``acc`` is then integer dot products, its entry ``i`` the
+        coordinate of ``keys[i]`` times ``den * dens[i]``."""
+        stored = self.rows
+        hits, row_dens = [], []
+        for row, den in rows:
+            if den is None:
+                row, den = _integer_row(row)
+            hits.append({c: n for c, n in row.items() if c in stored})
+            row_dens.append(den)
+        reached = {c: stored[c][1] for hit in hits for c in hit}
+        columns: dict = {}
+        for coords in reached.values():
+            for k, v in coords.items():
+                columns.setdefault(k, []).append(v.denominator)
+        keys, dens = list(columns), [lcm(*ds) for ds in columns.values()]
+        index = {k: i for i, k in enumerate(keys)}
+        table = {c: [(i := index[k], v.numerator * (dens[i] // v.denominator)) for k, v in coords.items()]
+                 for c, coords in reached.items()}
+        out = []
+        for hit, den in zip(hits, row_dens):
+            acc = [0] * len(keys)
+            for c, n in hit.items():
+                for i, v in table[c]:
+                    acc[i] += n * v
+            out.append({keys[i]: Fraction(n, den * dens[i]) for i, n in enumerate(acc) if n})
+        return out
 
     def add(self, row: Mapping, key: Hashable, den: int | None = None) -> bool:
         """Add input ``row`` under ``key``; False if it already lies in the span.
@@ -158,7 +200,7 @@ class Echelon:
         Its remainder, scaled to 1 at its pivot, is back-substituted into the
         stored rows, which keeps the form reduced.
         """
-        den, rem_n, rem_d, coords_n, coords_d = self._combine(row, den)
+        den, rem_n, rem_d, hits = self._reduce(row, den)
         rem_n = {c: n for c, n in rem_n.items() if n}
         if not rem_n:
             return False
@@ -166,9 +208,9 @@ class Echelon:
         # the pivot entry is lead / (den * lead_den): divide every entry by it
         lead, lead_den = rem_n[pivot], rem_d[pivot]
         rem = {c: Fraction(n * lead_den, rem_d[c] * lead) for c, n in rem_n.items()}
-        coords = {k: Fraction(-n * lead_den, coords_d[k] * lead)
-                  for k, n in coords_n.items() if n}
-        coords[key] = Fraction(den * lead_den, lead)
+        inv = Fraction(den * lead_den, lead)   # the input's coordinate: 1 / the pivot entry
+        coords = {k: -c * inv for k, c in self.coordinates([(hits, den)])[0].items()} if hits else {}
+        coords[key] = inv
         for col, (prow, pcoords) in self.rows.items():
             factor = prow.pop(pivot, None)
             if factor:

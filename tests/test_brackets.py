@@ -404,3 +404,35 @@ def test_entries_widen_per_seed_and_keep_every_entry(moyal, monkeypatch):
         assert got == [bracket(t, seed)._terms for t in terms]
     # the Moyal series has terms past the Poisson one here
     assert any(moyal_bracket(t, s) != poisson_bracket(t, s) for t in terms for s in seeds)
+
+
+def test_entries_take_a_layout_only_to_widen(monkeypatch):
+    """With the widest seed first, the layout its walk takes holds the two
+    later walks: ``_entries`` calls ``_layout`` once and packs the ansatz
+    once, and the later walks only compare their exponents with the
+    fields' limit."""
+    ctx = PhaseContext(2, max_degree=10 ** 6)
+    terms = [parse_expression(text, ctx) for text in ("q1*p1 + 2/5*q2", "q1^2*p2 - 3/2*p1")]
+    seeds = [parse_expression(text, ctx) for text in (
+        "q1*p1^70000 + 1/2*q2^3", "q1^300*p1^2 - q2*p2", "q1^2*p1*p2 + 7/3*p2")]
+    layouts, packed = [], []
+    real_layout, real_pack = brackets._layout, brackets._pack
+
+    def spy_layout(ctx, left, right):
+        layouts.append(real_layout(ctx, left, right).size // ctx.nvars)
+        return real_layout(ctx, left, right)
+
+    def spy_pack(polys, layout, first=0):
+        packed.append(len(polys))
+        return real_pack(polys, layout, first)
+
+    monkeypatch.setattr(brackets, "_layout", spy_layout)
+    monkeypatch.setattr(brackets, "_pack", spy_pack)
+    walks = brackets._entries(terms, seeds, False)
+    assert layouts == [4]
+    assert packed == [len(terms), 1, 1, 1]
+    for seed, (entries, dens) in zip(seeds, walks):
+        got = [{} for _ in terms]
+        for u, exps, num in entries:
+            got[u][exps] = Fraction(num, dens[u])
+        assert got == [poisson_bracket(t, seed)._terms for t in terms]

@@ -19,6 +19,7 @@ from phasealg import (
     PhasePoly,
     brackets,
     close_algebra,
+    linsolve,
     convention_notes,
     find_casimir,
     find_center,
@@ -624,6 +625,41 @@ def test_closure_and_verify_build_no_fraction_blocks(monkeypatch):
             verify_invariant(cl.basis[0].poly, cl)
             assert calls == [len(cl.basis)]
             calls.clear()
+
+
+def _spy_on_table(monkeypatch) -> list[int]:
+    """Spy on ``Echelon.coordinates``, which builds the table of stored
+    coordinates: the list gets each call's number of rows."""
+    counts = []
+    real = linsolve.Echelon.coordinates
+
+    def spy(self, rows):
+        rows = list(rows)
+        counts.append(len(rows))
+        return real(self, rows)
+
+    monkeypatch.setattr(linsolve.Echelon, "coordinates", spy)
+    return counts
+
+
+def test_capped_closure_builds_no_coordinate_table(monkeypatch):
+    """The bundled ``quartic`` run to its basis cap raises
+    ``NonClosingError`` without building the table of stored coordinates:
+    the pair loop asks the echelon for remainders only, and each admitted
+    element is a remainder, which reaches no stored row.  A closing run
+    builds the table once, for one batch of every nonzero bracket, and
+    ``verify`` once more."""
+    calls = _spy_on_table(monkeypatch)
+    problem = load_problem("quartic")
+    with pytest.raises(NonClosingError, match="max_basis 24"):
+        close_algebra(problem.seeds(problem.context()), max_basis=problem.max_basis,
+                      max_degree=problem.max_degree)
+    assert calls == []
+    cl = close_algebra(_bundled_seeds("nsphere"))
+    nonzero = len({(i, j) for i, j, _ in cl.structure})
+    assert calls == [nonzero]
+    assert cl.verify()
+    assert calls == [nonzero, nonzero]
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasealg.closure import _leading
-from phasealg.linsolve import Echelon, _integer_rref, invert, nullspace, sub_scaled
+from phasealg.linsolve import Echelon, _integer_row, _integer_rref, invert, nullspace, sub_scaled
 
 
 @pytest.mark.xfail(
@@ -193,9 +193,8 @@ def test_echelon_rows_stay_reduced_with_coordinates():
         for k, f in coords.items():
             sub_scaled(rebuilt, inputs[k], -f)
         assert rebuilt == row
-    for k, row in enumerate(inputs):
-        coords, rem = ech.reduce(row)
-        assert rem == {}
+    for k, (row, coords) in enumerate(zip(inputs, ech.coordinates((row, None) for row in inputs))):
+        assert ech.remainder(row) == {}
         rebuilt = {}
         for j, f in coords.items():
             sub_scaled(rebuilt, inputs[j], -f)
@@ -263,14 +262,21 @@ def _combination(rng, rows):
     return out
 
 
-@pytest.mark.parametrize("head", [min, _leading], ids=["min", "leading"])
-def test_echelon_matches_reference_on_big_rationals(head):
-    """After every ``add``, the integer engine's rows and its ``reduce``
-    of probe rows equal the reference's exactly, on ~300-bit rationals.
-    Probes: an empty row, a row in the span, a row off every pivot and a
-    random row."""
+def _reduce(ech, row, den=None):
+    """``(coordinates, remainder)`` of one row, as ``_ReferenceEchelon.reduce``
+    gives them."""
+    (coords,) = ech.coordinates([(row, den)])
+    return coords, ech.remainder(row, den)
+
+
+COLUMNS = [(i, j) for i in range(5) for j in range(5 - i)]   # 15 monomials in 2 vars
+
+
+def _big_rational_echelons(head, check):
+    """Three trials of 12 ``add``s of ~300-bit rational rows, some in the
+    span of earlier ones, into the integer engine and the reference alike;
+    ``check(ech, ref, inputs, rng)`` runs after every ``add``."""
     rng = random.Random(7919)
-    columns = [(i, j) for i in range(5) for j in range(5 - i)]   # 15 monomials in 2 vars
     for trial in range(3):
         ech, ref = Echelon(head), _ReferenceEchelon(head)
         inputs = []
@@ -278,20 +284,63 @@ def test_echelon_matches_reference_on_big_rationals(head):
             if inputs and rng.random() < 0.3:
                 row = _combination(rng, rng.sample(inputs, min(len(inputs), 3)))
             else:
-                row = {c: _big_fraction(rng) for c in rng.sample(columns, rng.randint(1, 5))}
+                row = {c: _big_fraction(rng) for c in rng.sample(COLUMNS, rng.randint(1, 5))}
             inputs.append(row)
             assert ech.add(row, key) == ref.add(row, key)
             assert ech.rows == ref.rows
-            free = [c for c in columns if c not in ref.rows]
-            probes = [
-                {},
-                _combination(rng, inputs),
-                {c: _big_fraction(rng) for c in rng.sample(free, min(len(free), 3))},
-                {c: _big_fraction(rng) for c in rng.sample(columns, 6)},
-            ]
-            for probe in probes:
-                assert ech.reduce(probe) == ref.reduce(probe)
-            assert ech.reduce(probes[1])[1] == {}
+            check(ech, ref, inputs, rng)
+
+
+def _probes(ref, inputs, rng):
+    """An empty row, a row in the span, a row off every pivot and a random row."""
+    free = [c for c in COLUMNS if c not in ref.rows]
+    return [
+        {},
+        _combination(rng, inputs),
+        {c: _big_fraction(rng) for c in rng.sample(free, min(len(free), 3))},
+        {c: _big_fraction(rng) for c in rng.sample(COLUMNS, 6)},
+    ]
+
+
+@pytest.mark.parametrize("head", [min, _leading], ids=["min", "leading"])
+def test_echelon_matches_reference_on_big_rationals(head):
+    """After every ``add``, the integer engine's rows, and the coordinates
+    and remainder it gives each probe row (``_probes``) one at a time,
+    equal the reference's exactly, on ~300-bit rationals."""
+    def check(ech, ref, inputs, rng):
+        probes = _probes(ref, inputs, rng)
+        for probe in probes:
+            assert _reduce(ech, probe) == ref.reduce(probe)
+        assert ech.remainder(probes[1]) == {}
+
+    _big_rational_echelons(head, check)
+
+
+@pytest.mark.parametrize("head", [min, _leading], ids=["min", "leading"])
+def test_batch_coordinates_match_reference_rows(head):
+    """One ``coordinates`` batch, read from one table of the stored
+    coordinates, gives every row the coordinates the reference gives it
+    alone, on the big-rational echelons: the probe rows (an empty row
+    among them), every input so far (an admitted input has coordinate 1 at
+    its own key only, so where it hits a pivot whose coordinates hold
+    another key, that key cancels to 0 and must be left out, not kept as a
+    zero entry), and each row again as integer numerators over one
+    denominator.  Every coordinate is a nonzero ``Fraction``."""
+    cancelled = []
+
+    def check(ech, ref, inputs, rng):
+        rows = [*_probes(ref, inputs, rng), *inputs]
+        want = [ref.reduce(row)[0] for row in rows]
+        got = ech.coordinates([_integer_row(row) for row in rows])
+        assert ech.coordinates((row, None) for row in rows) == got == want
+        assert all(type(v) is Fraction and v for coords in got for v in coords.values())
+        for key, (row, coords) in enumerate(zip(inputs, want[4:])):
+            if coords == {key: 1} and any(k != key for c in row if c in ech.rows
+                                          for k in ech.rows[c][1]):
+                cancelled.append(key)
+
+    _big_rational_echelons(head, check)
+    assert cancelled
 
 
 DENS = (1, 2, 3, 4, 6, 12)
@@ -331,18 +380,19 @@ ACCUMULATE_BRANCHES = (
 @example(([{0: Fraction(1, 2)}], {0: 4, 1: -4}, 4))
 @example(([], {2: -5}, 10))
 def test_integer_row_reduces_as_its_fractions(case):
-    """``reduce`` and ``add`` on integer numerators over one denominator
-    give exactly what they give on the ``Fraction`` row those make, and
-    what the reference echelon gives on it: the same coordinates, the same
-    remainder, the same stored rows after the row is added."""
+    """``coordinates``, ``remainder`` and ``add`` on integer numerators over
+    one denominator give exactly what they give on the ``Fraction`` row
+    those make, and what the reference echelon gives on it: the same
+    coordinates, the same remainder, the same stored rows after the row is
+    added."""
     stored, nums, den = case
     row = {c: Fraction(n, den) for c, n in nums.items()}
     for head in (min, max):
         ech, ref = Echelon(head), _ReferenceEchelon(head)
         for key, r in enumerate(stored):
             assert ech.add(r, key) == ref.add(r, key)
-        got = ech.reduce(nums, den)
-        assert got == ech.reduce(row) == ref.reduce(row)
+        got = _reduce(ech, nums, den)
+        assert got == _reduce(ech, row) == ref.reduce(row)
         assert all(type(v) is Fraction for part in got for v in part.values())
         assert ech.add(nums, "new", den) == ref.add(row, "new")
         assert ech.rows == ref.rows

@@ -5,8 +5,10 @@ and pass the workload's own oracle check.
 
 The ``algebra`` instances cover the answers most exposed to a change in the
 exact engine: ``sp4-sub/2`` pins the row order ``nullspace`` depends on,
-``sp6-full/0`` the largest elimination, and ``cm/1`` and ``nsphere/1``
-centre searches at degree 5.  The ``brackets`` instances pin the packed
+``sp6-full/0`` the largest elimination, ``sp4-full/0`` ``verify`` on the
+full 10-element sp(4) closure, whose structure constants are large
+rationals (``sp6-full`` skips ``verify``), and ``cm/1`` and ``nsphere/1``
+centre searches at degree 5 and ``verify`` on small bases.  The ``brackets`` instances pin the packed
 kernel's output: the largest Moyal series (D=6, degree 6, 96 terms), a
 large Poisson bracket at D=5 and a small one at D=3.  The ``pipeline``
 instances pin one report of every class.  Two are ``invariants`` reports,
@@ -30,7 +32,7 @@ from pathlib import Path
 import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-PINNED_ALGEBRA = ["sp4-sub/2", "sp6-full/0", "cm/1", "nsphere/1"]
+PINNED_ALGEBRA = ["sp4-sub/2", "sp6-full/0", "sp4-full/0", "cm/1", "nsphere/1"]
 PINNED_BRACKETS = ["D6-deg6-L-moyal/0", "D5-deg6-L-poisson/3", "D3-deg4-S-poisson/0"]
 PINNED_PIPELINE = [
     "close-bundled/0", "close-quartic/0", "close-generated/0",
@@ -62,6 +64,8 @@ def test_algebra_instance_matches_golden_digest(instance, monkeypatch):
     out = run_pinned("algebra", instance, monkeypatch)
     if instance.split("/")[0] in ("cm", "nsphere"):
         assert out["center"].degree == 5
+    if instance == "sp4-full/0":
+        assert len(out["closure"].basis) == 10 and out["verify"] is True
 
 
 @pytest.mark.parametrize("instance", PINNED_BRACKETS)
