@@ -53,19 +53,22 @@ a unit only from a field that holds it, and B is untagged and the layout
 keeps every product's exponents inside their fields.  One owner packs the
 left operands, ``_PackedBasis``: it packs each element once, tagged with
 its index, so that a walk of element j against every earlier one
-(``blocks``, for closure and ``LieClosure.verify``) takes a prefix of one
-packed list, and a walk of every element against an outside polynomial
+(``blocks``, for the closure's pair loop) takes a prefix of one packed
+list, and a walk of every element against an outside polynomial
 (``walk``) takes the whole list; it re-packs only when a walk needs wider
 fields.  Both walks go through one set-up, ``_PackedBasis._run`` (layout,
 packing, slots, scales, the walk, denominators).  The public brackets are
 a one-element basis walked once, and an invariant search's ansatz is one
 basis walked once per seed.
 
-Every reader of a walk is here, so no other module sees a packed key:
-``_entries`` (the invariant rows), ``_PackedBasis.blocks`` (integer rows
-for closure and ``verify``) and ``_brackets_of`` (``bracket(a, T)`` as
-polynomials, for ``verify_invariant`` and ``verify_canonical``).  A walk's
-result is decoded once per distinct monomial (``poly._tagged``).
+Every reader of a walk is here, so no other module sees a packed key.
+The public brackets read theirs as a polynomial (``poly._unpack``); every
+other walk is read in one form, one integer block ``{exponents:
+numerator}`` per element (``poly._tagged``), decoding each distinct
+monomial once: ``_PackedBasis.blocks`` (the closure's pair loop),
+``_PackedBasis.walk`` (the invariant rows) and ``_brackets_of``
+(``bracket(a, T)`` as polynomials, for ``verify_invariant`` and
+``verify_canonical``).
 """
 
 from __future__ import annotations
@@ -81,41 +84,30 @@ from .poly import Expvec, Packed, PhasePoly, _layout, _maxima, _pack, _product_i
 
 
 def poisson_bracket(a: PhasePoly, b: PhasePoly) -> PhasePoly:
-    acc, layout, (den,) = _PackedBasis(a.ctx, False, [a]).walk(b)
+    acc, layout, (den,) = _PackedBasis(a.ctx, False, [a])._run(1, b)
     return _unpack(a.ctx, acc, layout, den)
 
 
 def moyal_bracket(a: PhasePoly, b: PhasePoly) -> PhasePoly:
-    acc, layout, (den,) = _PackedBasis(a.ctx, True, [a]).walk(b)
+    acc, layout, (den,) = _PackedBasis(a.ctx, True, [a])._run(1, b)
     return _unpack(a.ctx, acc, layout, den)
-
-
-def _entries(terms: list[PhasePoly], seeds: list[PhasePoly],
-             moyal: bool) -> list[tuple[list[tuple[int, Expvec, int]], list[int]]]:
-    """Per seed ``B`` in ``seeds``, in order, from one walk each of one packed
-    basis of ``terms``: ``(u, exponents, numerator)`` for every nonzero term
-    of ``bracket(terms[u], B)``, in no fixed order, and each term's
-    denominator."""
-    basis = _PackedBasis(terms[0].ctx, moyal, terms)
-    return [(_tagged(acc, layout), dens) for acc, layout, dens in map(basis.walk, seeds)]
 
 
 def _brackets_of(a: PhasePoly, terms: list[PhasePoly], moyal: bool) -> list[PhasePoly]:
     """``bracket(a, T)`` for each ``T`` in ``terms``, in order, from one walk of
     ``bracket(T, a)``, each numerator negated as its ``Fraction`` is built."""
-    entries, dens = _entries(terms, [a], moyal)[0]
-    polys: list[dict[Expvec, Fraction]] = [{} for _ in dens]
-    for u, exps, num in entries:
-        polys[u][exps] = Fraction(-num, dens[u])
-    return [PhasePoly._build(a.ctx, t) for t in polys]
+    blocks, dens = _PackedBasis(a.ctx, moyal, terms).walk(a)
+    return [PhasePoly._build(a.ctx, {e: Fraction(-n, den) for e, n in block.items()})
+            for block, den in zip(blocks, dens)]
 
 
 class _PackedBasis:
     """A basis packed for its walks, the one code that packs a walk's left
     operands: ``walk(b)`` brackets every element with an outside polynomial
-    ``b`` in one walk (the public brackets, ``_entries``), and ``blocks(j)``
-    brackets ``polys[j]`` with every earlier element in one walk, as closure
-    and ``LieClosure.verify`` take their brackets.
+    ``b`` in one walk (the invariant rows, ``_brackets_of``; the public
+    brackets take its set-up, ``_run``, and read the walk as a polynomial),
+    and ``blocks(j)`` brackets ``polys[j]`` with every earlier element in one
+    walk, as the closure's pair loop takes its brackets.
 
     Each element is packed once, by the first walk that reaches it, into one
     flat list, its keys tagged with its basis index, so ``polys[:j]`` is a
@@ -151,23 +143,18 @@ class _PackedBasis:
         poly.ctx.require_same(self.ctx)
         self.polys.append(poly)
 
-    def walk(self, b: PhasePoly) -> tuple[dict[int, int], Struct, list[int]]:
-        """``bracket(T, b)`` for every element ``T``, from one walk: the
-        numerators keyed by packed exponents tagged with the element's index
-        (``poly._tagged`` reads them), the layout, and each element's
-        denominator."""
-        b.ctx.require_same(self.ctx)
-        return self._run(len(self.polys), b)
+    def walk(self, b: PhasePoly) -> tuple[list[dict[Expvec, int]], list[int]]:
+        """``bracket(T, b)`` for every element ``T``, in order, from one walk:
+        the integer numerators of its nonzero terms, keyed by exponents, and,
+        apart, its denominator."""
+        acc, layout, dens = self._run(len(self.polys), b)
+        return _tagged(acc, layout, len(dens)), dens
 
     def blocks(self, j: int) -> tuple[list[dict[Expvec, int]], list[int]]:
-        """``bracket(polys[i], polys[j])`` for each ``i < j``, in order, from one
-        walk: the integer numerators of its nonzero terms, keyed by exponents,
-        and, apart, its denominator."""
+        """``bracket(polys[i], polys[j])`` for each ``i < j``, in the form of
+        ``walk``."""
         acc, layout, dens = self._run(j)
-        blocks: list[dict[Expvec, int]] = [{} for _ in dens]
-        for u, exps, num in _tagged(acc, layout):
-            blocks[u][exps] = num
-        return blocks, dens
+        return _tagged(acc, layout, len(dens)), dens
 
     def _run(self, n: int, b: PhasePoly | None = None) -> tuple[dict[int, int], Struct, list[int]]:
         """The one per-walk set-up: the layout, the packing, slots, scales, the
@@ -182,6 +169,8 @@ class _PackedBasis:
         own = b is None
         if own:
             b = self.polys[n]
+        else:
+            b.ctx.require_same(self.ctx)
         quantum = self.quantum
         (max_a, degree_a), max_b = self._prefix(n), _maxima(b)
         degree_b = b.total_degree() if quantum else -1

@@ -120,8 +120,9 @@ class Problem:
         self.max_basis, self.max_degree, self.center_degree = (
             _scalar(options[k], f"options.{k}", int, "an integer")
             for k in ("max_basis", "max_degree", "center_degree"))
-        if self.max_basis < 1:
-            raise ValueError("problem field 'options.max_basis' must be a positive integer")
+        for k in ("max_basis", "max_degree"):
+            if getattr(self, k) < 1:
+                raise ValueError(f"problem field 'options.{k}' must be a positive integer")
         if self.center_degree < 0:
             raise ValueError("problem field 'options.center_degree' must be a nonnegative integer")
         self.options = options

@@ -11,20 +11,22 @@ with exact structure constants
 Constant remainders are folded into a single flagged identity element stored
 as the polynomial 1.  New non-constant elements are normalized so their
 graded-lex leading coefficient is 1 and named g1, g2, ... in creation order.
-Pairs (i, j), i < j, go in order of j, then i, so runs are reproducible;
-closure and ``verify`` bracket ``basis[:j]`` with ``basis[j]`` in one walk
-of the kernel over a packed basis (``brackets._PackedBasis``), which packs
-each element once per closure, or once per ``verify``, and again only when
-a walk needs wider fields.  Both, and ``span_reduce``, reduce
-term maps through ``linsolve.Echelon``, pivoting on the graded-lex leading
-monomial.  Closure and ``verify`` hand it each bracket as the kernel's
-integer numerators over one denominator, so a ``Fraction`` is built only
-for a structure constant and for an admitted element.  Their pair loop asks
-only for each bracket's remainder and keeps the bracket; the structure
-constants are its coordinates, which are unique because the basis is
-linearly independent, so they are read after the loop, against the final
-echelon, in one batch (``Echelon.coordinates``).  A closure that stops
-with ``NonClosingError`` reads no coordinates.
+Pairs (i, j), i < j, go in order of j, then i, so runs are reproducible.
+One pair loop, ``_close``, admits the seeds and brackets ``basis[:j]`` with
+``basis[j]`` in one walk of the kernel over a packed basis
+(``brackets._PackedBasis``), which packs each element once per run and
+again only when a walk needs wider fields.  ``close_algebra`` runs it on
+its validated seeds; ``LieClosure.verify`` runs it on the closure's own
+basis, and a closure verifies when it is a fixed point of that loop.  The
+loop, and ``span_reduce``, reduce term maps through ``linsolve.Echelon``,
+pivoting on the graded-lex leading monomial.  The loop hands it each
+bracket as the kernel's integer numerators over one denominator, so a
+``Fraction`` is built only for a structure constant and for an admitted
+element.  It asks only for each bracket's remainder and keeps the bracket;
+the structure constants are its coordinates, which are unique because the
+basis is linearly independent, so they are read after the loop, against
+the final echelon, in one batch (``Echelon.coordinates``).  A run that
+stops with ``NonClosingError`` reads no coordinates.
 """
 
 from __future__ import annotations
@@ -52,14 +54,6 @@ def _leading(terms: dict[Expvec, Fraction]) -> Expvec:
     return max(terms, key=_grlex_key)
 
 
-def _span(basis: Sequence[AlgebraElement]) -> Echelon:
-    """Echelon of the basis polynomials, coordinates kept over ``basis``."""
-    ech = Echelon(_leading)
-    for j, elem in enumerate(basis):
-        ech.add(elem.poly._terms, j)
-    return ech
-
-
 def _structure(ech: Echelon, rows: dict[tuple[int, int], tuple[dict[Expvec, int], int]]
                ) -> dict[tuple[int, int, int], Fraction]:
     """The nonzero structure constants ``(i, j, k)`` of each pair ``(i, j)``
@@ -79,9 +73,10 @@ def span_reduce(
     ``p = sum_i coords[i] * basis[i].poly + remainder``, with the remainder
     zero exactly when ``p`` lies in the span.
     """
-    for elem in basis:
+    span = Echelon(_leading)
+    for j, elem in enumerate(basis):
         p.ctx.require_same(elem.poly.ctx)
-    span = _span(basis)
+        span.add(elem.poly._terms, j)
     (coords,) = span.coordinates([(p._terms, None)])
     rem = span.remainder(p._terms)
     return [coords.get(i, Fraction(0)) for i in range(len(basis))], PhasePoly._build(p.ctx, rem)
@@ -109,22 +104,19 @@ class LieClosure:
         return None
 
     def verify(self) -> bool:
-        """Recompute every bracket, one walk per j, and check that each lies
-        in the span and that their nonzero coordinates, keyed ``(i, j, k)``,
-        are exactly ``structure``: an entry no bracket makes fails.  The
-        coordinates are read once every bracket is known to lie in the span,
-        in one batch (``_structure``)."""
-        walks = _PackedBasis(self.ctx, self.bracket_kind == "moyal", [e.poly for e in self.basis])
-        span = _span(self.basis)
-        rows: dict[tuple[int, int], tuple[dict[Expvec, int], int]] = {}
-        for j in range(1, len(self.basis)):
-            blocks, dens = walks.blocks(j)
-            for i, (br, den) in enumerate(zip(blocks, dens)):
-                if br:
-                    if span.remainder(br, den):
-                        return False
-                    rows[i, j] = br, den
-        return _structure(span, rows) == self.structure
+        """True when the closure is a fixed point of its own loop: closing
+        ``basis`` as seeds (``_close``), with ``max_basis`` its size and
+        ``max_degree`` its largest total degree, adds nothing and gives back
+        the same basis and ``structure``.  A bracket off the span, an entry no
+        bracket makes, and an element in the span of those before it all
+        fail, and so does a ``NonClosingError``."""
+        degree = max([e.poly.total_degree() for e in self.basis], default=0)
+        try:
+            basis, structure = _close(self.ctx, self.bracket_kind == "moyal", self.basis,
+                                      len(self.basis), degree)
+        except NonClosingError:
+            return False
+        return tuple(basis) == self.basis and structure == self.structure
 
     def check_jacobi_tensor(self) -> bool:
         """Jacobi identity as a contraction over the nonzero structure constants.
@@ -163,15 +155,15 @@ def close_algebra(
     Seeds that are linearly independent initialize the basis; every pair
     (i, j), i < j, is bracketed once, in order of j, then i (one kernel walk
     per j), and nonzero remainders join the basis until no pair produces
-    anything new.  Raises ``NonClosingError`` when the basis would exceed
-    ``max_basis`` or a bracket result exceeds total degree ``max_degree``.
+    anything new.  Raises ``NonClosingError`` when a seed or a remainder
+    would take the basis past ``max_basis`` or a bracket result exceeds
+    total degree ``max_degree``.
     """
     if not seeds:
         raise EmptySeedError("close_algebra requires at least one seed")
     ctx = seeds[0].poly.ctx
     if bracket_kind not in ("poisson", "moyal"):
         raise ValueError(f"unknown bracket kind {bracket_kind!r}")
-    moyal = bracket_kind == "moyal"
     names_seen: set[str] = set()
     for seed in seeds:
         seed.poly.ctx.require_same(ctx)
@@ -182,7 +174,23 @@ def close_algebra(
         if seed.name == "1" and not seed.poly.is_constant():
             raise ValueError("seed name '1' is reserved for the identity")
         names_seen.add(seed.name)
+    basis, structure = _close(ctx, bracket_kind == "moyal", seeds, max_basis, max_degree)
+    return LieClosure(
+        basis=tuple(basis),
+        structure=structure,
+        bracket_kind=bracket_kind,
+        seed_names=tuple(s.name for s in seeds),
+        ctx=ctx,
+    )
 
+
+def _close(ctx: PhaseContext, moyal: bool, seeds: Sequence[AlgebraElement], max_basis: int,
+           max_degree: int) -> tuple[list[AlgebraElement], dict[tuple[int, int, int], Fraction]]:
+    """The one pair loop, for ``close_algebra`` and ``LieClosure.verify``:
+    admit each seed that is not in the span of those before it, then bracket
+    every pair until none adds an element.  Returns the basis and its
+    structure constants."""
+    names_seen = {seed.name for seed in seeds}
     basis: list[AlgebraElement] = []
     walks = _PackedBasis(ctx, moyal)
     ech = Echelon(_leading)
@@ -197,10 +205,15 @@ def close_algebra(
                 names_seen.add(name)
                 return name
 
-    def admit(rem: dict[Expvec, Fraction], seed: AlgebraElement | None = None) -> None:
+    def admit(rem: dict[Expvec, Fraction], seed: AlgebraElement | None = None,
+              pair: tuple[str, str] | None = None) -> None:
         """Append ``seed``, else ``rem`` scaled to lead 1 (the identity if ``rem``
-        is constant).  The echelon gets the element's own polynomial, so its
-        row's coordinates are over the basis as stored."""
+        is constant), or raise ``NonClosingError`` if the basis is full.  The
+        echelon gets the element's own polynomial, so its row's coordinates
+        are over the basis as stored."""
+        if len(basis) >= max_basis:
+            reason = f"seed {seed.name!r} exceeds" if seed else "basis size exceeds"
+            raise NonClosingError(f"{reason} max_basis {max_basis}", pair, len(basis))
         head = _leading(rem)
         lead = rem[head]
         identity = not any(head)
@@ -215,7 +228,12 @@ def close_algebra(
         basis.append(elem)
 
     for seed in seeds:
-        if rem := ech.remainder(seed.poly._terms):
+        terms = seed.poly._terms
+        # the rows are reduced, so a leading monomial that is no pivot leads the
+        # remainder too, all that admit reads of it (a constant is its own)
+        if terms and _leading(terms) not in ech.rows:
+            admit(terms, seed)
+        elif rem := ech.remainder(terms):
             admit(rem, seed)
 
     rows: dict[tuple[int, int], tuple[dict[Expvec, int], int]] = {}   # the nonzero brackets
@@ -225,24 +243,15 @@ def close_algebra(
         for i, (br, den) in enumerate(zip(blocks, dens)):
             if not br:
                 continue
+            pair = (basis[i].name, basis[j].name)
             if (degree := max(map(sum, br))) > max_degree:
                 reason = f"bracket degree {degree} exceeds max_degree {max_degree}"
-                raise NonClosingError(reason, (basis[i].name, basis[j].name), len(basis))
+                raise NonClosingError(reason, pair, len(basis))
             if rem := ech.remainder(br, den):
-                if len(basis) >= max_basis:
-                    reason = f"basis size exceeds max_basis {max_basis}"
-                    raise NonClosingError(reason, (basis[i].name, basis[j].name), len(basis))
-                admit(rem)
+                admit(rem, pair=pair)
             rows[i, j] = br, den
         j += 1
-
-    return LieClosure(
-        basis=tuple(basis),
-        structure=_structure(ech, rows),
-        bracket_kind=bracket_kind,
-        seed_names=tuple(s.name for s in seeds),
-        ctx=ctx,
-    )
+    return basis, _structure(ech, rows)
 
 
 def structure_constants(closure: LieClosure) -> list[tuple[int, int, int, Fraction]]:

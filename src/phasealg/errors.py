@@ -36,12 +36,14 @@ class EmptySeedError(PhaseAlgError):
 
 
 class NonClosingError(PhaseAlgError):
-    """The bracket algebra did not close within the configured limits."""
+    """The bracket algebra did not close within the configured limits.
 
-    def __init__(self, reason: str, pair: tuple[str, str], basis_size: int):
+    ``pair`` names the bracket that overran, ``None`` for a seed."""
+
+    def __init__(self, reason: str, pair: tuple[str, str] | None, basis_size: int):
+        where = f"offending pair {{{pair[0]}, {pair[1]}}}, " if pair else ""
         super().__init__(
-            f"algebra does not close within limits: {reason}"
-            f" (offending pair {{{pair[0]}, {pair[1]}}}, basis size {basis_size})"
+            f"algebra does not close within limits: {reason} ({where}basis size {basis_size})"
         )
         self.reason = reason
         self.pair = pair

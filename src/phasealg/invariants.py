@@ -21,15 +21,15 @@ and builds its monomials as canonical terms, without validation.
 
 Both searches take their rows from the bracket kernel itself: the ansatz
 is one packed basis (``brackets._PackedBasis``), packed once per field
-width its walks need, and one walk per seed brackets every ansatz term
-with it (``brackets._entries``), under either bracket and at any hbar, so
-no bracket is taken per term.  The system is integer from the kernel to
-the nullspace: the walk's numerators, each scaled to one denominator per
-seed, are the rows, and ``nullspace`` eliminates in integers, so
-``Fraction``s are built only in the solutions.
+width its walks need, and one walk per seed (``_PackedBasis.walk``)
+brackets every ansatz term with it, under either bracket and at any hbar,
+so no bracket is taken per term.  The system is integer from the kernel
+to the nullspace: the walk's integer blocks, one per ansatz term, each
+scaled to one denominator per seed, are the rows, and ``nullspace``
+eliminates in integers, so ``Fraction``s are built only in the solutions.
 The one contract left is row order (seed, ansatz term,
-graded-lex-descending monomial): ``_rows`` sorts each walk's unordered
-entries, because ``nullspace``'s output depends on the order while its
+graded-lex-descending monomial): ``_rows`` sorts each block's unordered
+monomials, because ``nullspace``'s output depends on the order while its
 elimination's defect stands.  Each solution is scaled and summed over its
 nonzero entries only.
 
@@ -48,7 +48,7 @@ from itertools import combinations_with_replacement
 from math import comb, lcm
 from typing import Sequence
 
-from .brackets import _brackets_of, _entries
+from .brackets import _PackedBasis, _brackets_of
 from .closure import LieClosure
 from .errors import AnsatzTooLargeError
 from .linsolve import nullspace, sub_scaled
@@ -101,30 +101,29 @@ def _rows(terms: Sequence[PhasePoly], closure: LieClosure) -> tuple[dict, dict[i
     appearance: seed, then ansatz term, then graded-lex-descending monomial
     of ``bracket(T_u, s)``; each row maps ansatz index ``u`` to an integer,
     its coefficient times the seed's denominator ``dens[k]``.  The terms are
-    one packed basis, re-packed only when a seed's walk needs wider fields,
-    and one walk per seed brackets every term with it
-    (``brackets._entries``), under either bracket and at any hbar.  The
-    walk's numerators are read straight into the rows: term ``u``'s are
-    over its own denominator, so they are scaled by ``dens[k]`` over it,
-    with ``dens[k]`` the lcm of the walk's denominators.
-    The walk's entries are unordered and are sorted here only because
-    ``nullspace`` depends on this order.
+    one packed basis (``brackets._PackedBasis``), re-packed only when a
+    seed's walk needs wider fields, and one walk per seed brackets every
+    term with it, under either bracket and at any hbar, as one integer
+    block per term over the term's own denominator; each block is scaled by
+    ``dens[k]`` over it, with ``dens[k]`` the lcm of the walk's
+    denominators.  A block's monomials are unordered and are sorted here
+    only because ``nullspace`` depends on this order.
     """
     names = set(closure.seed_names)
-    seeds = [(k, elem.poly) for k, elem in enumerate(closure.basis)
-             if not elem.is_identity and elem.name in names]
-    walks = _entries(terms, [poly for _, poly in seeds], closure.bracket_kind == "moyal")
+    walks = _PackedBasis(closure.ctx, closure.bracket_kind == "moyal", terms)
     rows: dict[tuple[int, Expvec], dict[int, int]] = {}
     dens: dict[int, int] = {}
-    for (k, _), (entries, term_dens) in zip(seeds, walks):
+    for k, elem in enumerate(closure.basis):
+        if elem.is_identity or elem.name not in names:
+            continue
+        blocks, term_dens = walks.walk(elem.poly)
         den = dens[k] = lcm(*term_dens)
-        scales = [den // d for d in term_dens]
-        # (-u, degree, exponents) descending is term ascending, then graded
-        # lex descending; a bracket's monomials are distinct, so the sort
-        # compares no numerators
-        for neg_u, _, mono, num in sorted([(-u, sum(exps), exps, num) for u, exps, num
-                                           in entries], reverse=True):
-            rows.setdefault((k, mono), {})[-neg_u] = num * scales[-neg_u]
+        for u, block in enumerate(blocks):
+            if block:
+                scale = den // term_dens[u]
+                # graded lex descending; most blocks hold one monomial
+                for mono in sorted(block, key=_grlex_key, reverse=True) if len(block) > 1 else block:
+                    rows.setdefault((k, mono), {})[u] = block[mono] * scale
     return rows, dens
 
 

@@ -25,10 +25,10 @@ packed across its walks.  Each layout (``struct.Struct``) and its unit
 keys are built once per process and shared.  Packing and unpacking a term
 is one ``struct`` call each way.  The format belongs to this module:
 ``_unpack`` reads a result as a polynomial, with ``Fraction`` built once
-per distinct numerator, and ``_tagged`` reads a tagged one as integer
-entries, decoding each distinct monomial once, which only ``brackets``
-takes.  An exponent a call could reach that needs more than 64 bits
-raises ``OverflowError``.
+per distinct numerator, and ``_tagged`` reads a tagged one as one
+integer block per operand, decoding each distinct monomial once, which
+only ``brackets`` takes.  An exponent a call could reach that needs more
+than 64 bits raises ``OverflowError``.
 """
 
 from __future__ import annotations
@@ -143,25 +143,25 @@ def _unpack(ctx: PhaseContext, acc: Mapping[int, int], layout: Struct, den: int)
     })
 
 
-def _tagged(acc: Mapping[int, int], layout: Struct) -> list[tuple[int, Expvec, int]]:
-    """``(tag, exponents, numerator)`` for each nonzero entry of ``acc``, whose
-    keys carry a tag (``_pack``).
+def _tagged(acc: Mapping[int, int], layout: Struct, n: int) -> list[dict[Expvec, int]]:
+    """One integer block ``{exponents: numerator}`` per tag ``u < n``, of the
+    nonzero entries of ``acc`` whose keys carry tag ``u`` (``_pack``).
 
     A monomial that recurs under several tags is decoded once per call: the
-    untagged key is looked up before it is unpacked, and every entry that
+    untagged key is looked up before it is unpacked, and every block that
     has it shares one exponent tuple.
     """
     size, unpack, shift = layout.size, layout.unpack, 8 * layout.size
     decoded: dict[int, Expvec] = {}
-    out = []
+    blocks: list[dict[Expvec, int]] = [{} for _ in range(n)]
     for key, num in acc.items():
         if num:
             u = key >> shift
             key -= u << shift
             if (exps := decoded.get(key)) is None:
                 exps = decoded[key] = unpack(key.to_bytes(size, "little"))
-            out.append((u, exps, num))
-    return out
+            blocks[u][exps] = num
+    return blocks
 
 
 def _product_into(acc: dict[int, int], left: Packed, right: Packed) -> None:

@@ -377,9 +377,9 @@ def test_moyal_series_stops_at_the_slot_caps(monkeypatch):
 @pytest.mark.parametrize("moyal", [False, True], ids=["poisson", "moyal-hbar3/2"])
 def test_entries_widen_per_seed_and_keep_every_entry(moyal, monkeypatch):
     """Seeds whose walks against one ansatz need 1-, 2- and then 4-byte
-    fields: ``_entries`` packs the ansatz once per layout, and every entry,
-    its numerator read over its term's denominator, is that term's own
-    bracket with the seed."""
+    fields: one ``_PackedBasis`` of the ansatz, walked once per seed, packs
+    the ansatz once per layout, and every block, its numerators read over
+    its term's denominator, is that term's own bracket with the seed."""
     ctx = PhaseContext(2, hbar=Fraction(3, 2), max_degree=10 ** 6)
     terms = [parse_expression(text, ctx) for text in (
         "q1*p1 + 2/5*q2", "q1^2*p2 - 3/2*p1", "p1^3*q2^2 + 1", "q2*p2^2")]
@@ -394,13 +394,11 @@ def test_entries_widen_per_seed_and_keep_every_entry(moyal, monkeypatch):
         return real(polys, layout, first)
 
     monkeypatch.setattr(brackets, "_pack", spy)
-    walks = brackets._entries(terms, seeds, moyal)
+    walks = list(map(brackets._PackedBasis(ctx, moyal, terms).walk, seeds))
     assert packed == [len(terms), 1] * 3
     bracket = moyal_bracket if moyal else poisson_bracket
-    for seed, (entries, dens) in zip(seeds, walks):
-        got = [{} for _ in terms]
-        for u, exps, num in entries:
-            got[u][exps] = Fraction(num, dens[u])
+    for seed, (blocks, dens) in zip(seeds, walks):
+        got = [{e: Fraction(n, den) for e, n in block.items()} for block, den in zip(blocks, dens)]
         assert got == [bracket(t, seed)._terms for t in terms]
     # the Moyal series has terms past the Poisson one here
     assert any(moyal_bracket(t, s) != poisson_bracket(t, s) for t in terms for s in seeds)
@@ -408,9 +406,9 @@ def test_entries_widen_per_seed_and_keep_every_entry(moyal, monkeypatch):
 
 def test_entries_take_a_layout_only_to_widen(monkeypatch):
     """With the widest seed first, the layout its walk takes holds the two
-    later walks: ``_entries`` calls ``_layout`` once and packs the ansatz
-    once, and the later walks only compare their exponents with the
-    fields' limit."""
+    later walks: one ``_PackedBasis`` of the ansatz, walked once per seed,
+    calls ``_layout`` once and packs the ansatz once, and the later walks
+    only compare their exponents with the fields' limit."""
     ctx = PhaseContext(2, max_degree=10 ** 6)
     terms = [parse_expression(text, ctx) for text in ("q1*p1 + 2/5*q2", "q1^2*p2 - 3/2*p1")]
     seeds = [parse_expression(text, ctx) for text in (
@@ -428,11 +426,9 @@ def test_entries_take_a_layout_only_to_widen(monkeypatch):
 
     monkeypatch.setattr(brackets, "_layout", spy_layout)
     monkeypatch.setattr(brackets, "_pack", spy_pack)
-    walks = brackets._entries(terms, seeds, False)
+    walks = list(map(brackets._PackedBasis(ctx, False, terms).walk, seeds))
     assert layouts == [4]
     assert packed == [len(terms), 1, 1, 1]
-    for seed, (entries, dens) in zip(seeds, walks):
-        got = [{} for _ in terms]
-        for u, exps, num in entries:
-            got[u][exps] = Fraction(num, dens[u])
+    for seed, (blocks, dens) in zip(seeds, walks):
+        got = [{e: Fraction(n, den) for e, n in block.items()} for block, den in zip(blocks, dens)]
         assert got == [poisson_bracket(t, seed)._terms for t in terms]

@@ -93,6 +93,20 @@ def test_close_non_closing_problem(tmp_path, capsys):
     assert any("overall sign" in d for d in report["diagnostics"])
 
 
+def test_close_refuses_seeds_past_max_basis(tmp_path, capsys):
+    """Two independent seeds under ``max_basis`` 1: the second does not fit,
+    so the run stops at exit 3 with a basis size of the cap, not exit 0
+    with a basis of 2."""
+    path = write_problem(tmp_path, "cap.json", {
+        "dof": 2, "generators": {"A": "q1", "B": "q2"}, "options": {"max_basis": 1}})
+    code, report = run_json(capsys, ["close", path])
+    assert code == 3
+    assert report["status"] == "non-closing"
+    assert "closure" not in report
+    assert report["diagnostics"][0] == ("algebra does not close within limits: "
+                                        "seed 'B' exceeds max_basis 1 (basis size 1)")
+
+
 def test_close_missing_problem_file(capsys):
     code = main(["close", "no-such-problem"])
     err = capsys.readouterr().err
@@ -148,6 +162,7 @@ BAD_FIELD_TYPES = {
     "dof-bool": ({"dof": True}, "dof"),
     "max-basis-float": ({"options": {"max_basis": 2.9}}, "options.max_basis"),
     "max-basis-negative": ({"options": {"max_basis": -1}}, "options.max_basis"),
+    "max-degree-zero": ({"options": {"max_degree": 0}}, "options.max_degree"),
     "center-degree-negative": ({"options": {"center_degree": -1}}, "options.center_degree"),
     "f-of-m-list": ({"options": {"f_of_M": [1, 2]}}, "options.f_of_M"),
     "f-of-m-integer": ({"options": {"f_of_M": 3}}, "options.f_of_M"),

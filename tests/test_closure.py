@@ -72,7 +72,10 @@ def test_sphere_closure_self_checks():
 
 def test_verify_rejects_entries_no_bracket_produces():
     """``verify`` compares the whole table: an entry on an index past the
-    basis, one keyed with i > j, a changed one and a missing one all fail."""
+    basis, one keyed with i > j, a changed one and a missing one all fail.
+    So does a set that is not a basis, though every bracket lies in its span
+    and the table is unchanged: the closure with a second identity element,
+    with ``2*1`` or with the zero polynomial appended."""
     cl = sphere_closure()
     n = len(cl.basis)
     for key, value in (((0, 1, n + 3), 1), ((2, 1, 0), 5), ((0, 1, 2), -3)):
@@ -81,6 +84,27 @@ def test_verify_rejects_entries_no_bracket_produces():
     missing = dict(cl.structure)
     del missing[(1, 2, 3)]
     assert dataclasses.replace(cl, structure=missing).verify() is False
+    for extra in (AlgebraElement("1b", PhasePoly.constant(cl.ctx, 1), is_identity=True),
+                  AlgebraElement("two", PhasePoly.constant(cl.ctx, 2)),
+                  AlgebraElement("Z", PhasePoly.zero(cl.ctx))):
+        assert dataclasses.replace(cl, basis=(*cl.basis, extra)).verify() is False, extra.name
+
+
+def test_seeds_past_max_basis_raise():
+    """``max_basis`` caps the seeds too: of the commuting seeds ``q1``, ``q2``
+    and ``q1*q2`` under a cap of 1, ``q2`` does not fit, and the error names
+    it and the cap, with the cap as its basis size.  A dependent seed past
+    the cap is still skipped."""
+    ctx = PhaseContext(2)
+    seeds = _elements(ctx, [("A", "q1"), ("B", "q2"), ("C", "q1*q2")])
+    for close in (close_algebra, reference_close):
+        with pytest.raises(NonClosingError) as err:
+            close(seeds, max_basis=1)
+        assert str(err.value) == ("algebra does not close within limits: "
+                                  "seed 'B' exceeds max_basis 1 (basis size 1)")
+        assert (err.value.pair, err.value.basis_size) == (None, 1)
+        cl = close(_elements(ctx, [("A", "q1"), ("B", "2*q1")]), max_basis=1)
+        assert [e.name for e in cl.basis] == ["A"]
 
 
 def _dense_jacobi(cl):
@@ -469,6 +493,9 @@ def reference_close(seeds, bracket_kind="poisson", max_basis=32, max_degree=16):
     for seed in seeds:
         _, rem = ech.reduce(seed.poly)
         if not rem.is_zero():
+            if len(basis) >= max_basis:
+                reason = f"seed {seed.name!r} exceeds max_basis {max_basis}"
+                raise NonClosingError(reason, None, len(basis))
             admit(rem, seed)
     while queue:
         i, j = queue.popleft()
@@ -539,6 +566,9 @@ CLOSURE_CASES = {
         (_bundled_seeds(name, hbar), dict(bracket_kind=kind))
         for name in ("nsphere", "cm")
         for kind, hbar in (("poisson", 1), ("moyal", Fraction(3, 2)))],
+    "seed-caps": [
+        (_elements(PhaseContext(2), [("A", "q1"), ("c", "3"), ("B", "2*q1"), ("C", "q2^2"),
+                                     ("D", "p1")]), dict(max_basis=cap)) for cap in range(1, 6)],
     "constant-and-dependent": [
         (_elements(PhaseContext(2), pairs), {}) for pairs in (
             [("A", "q1*p1"), ("c", "3"), ("B", "2*q1*p1"), ("C", "q2^2")],

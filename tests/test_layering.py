@@ -6,6 +6,9 @@ owns the kernel walk and every reader of it; every other module takes
 brackets as integer rows or polynomials from ``brackets``.  Inside them,
 ``poly._pack`` has two callers: ``PhasePoly.__mul__`` packs a product's
 operands and ``brackets._PackedBasis._run`` packs every bracket walk's.
+``poly._unpack`` reads a product and a public bracket as a polynomial, and
+every other walk is read as integer blocks (``poly._tagged``); of those,
+``_PackedBasis.blocks`` has one caller, the closure's pair loop.
 
 numpy and scipy stay inside ``spectra._float_layer``, which the FD solver
 calls when it runs, so importing the package loads neither.
@@ -34,11 +37,17 @@ def test_only_poly_and_brackets_import_the_packed_format():
 
 
 PACK_CALLERS = {("poly", "PhasePoly.__mul__"), ("brackets", "_PackedBasis._run")}
+# The one reader of a walk as a polynomial: every other reader takes
+# ``poly._tagged``'s integer blocks.
+UNPACK_CALLERS = {("brackets", "poisson_bracket"), ("brackets", "moyal_bracket"),
+                  ("poly", "PhasePoly.__mul__")}
 
 
-def _pack_callers(tree: ast.Module) -> set[str]:
-    """The qualified name of each function under ``tree`` that calls
-    ``_pack`` (or ``poly._pack``) itself; a method's is ``Class.method``."""
+def _callers(name: str, method: bool = False) -> set[tuple[str, str]]:
+    """``(module, qualified function)`` of each function in the package that
+    calls ``name`` itself, as a bare name or as ``poly.<name>``, or, with
+    ``method``, as an attribute of any object; a method's qualified name is
+    ``Class.method``."""
     callers = set()
 
     def visit(node: ast.AST, scope: str) -> None:
@@ -48,13 +57,15 @@ def _pack_callers(tree: ast.Module) -> set[str]:
                 continue
             if isinstance(child, ast.Call):
                 func = child.func
-                if (isinstance(func, ast.Name) and func.id == "_pack"
-                        or isinstance(func, ast.Attribute) and func.attr == "_pack"
-                        and isinstance(func.value, ast.Name) and func.value.id == "poly"):
-                    callers.add(scope or "<module>")
+                if (isinstance(func, ast.Name) and func.id == name
+                        or isinstance(func, ast.Attribute) and func.attr == name
+                        and (method or isinstance(func.value, ast.Name) and func.value.id == "poly")):
+                    callers.add((module, scope or "<module>"))
             visit(child, scope)
 
-    visit(tree, "")
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.stem
+        visit(ast.parse(path.read_text(encoding="utf-8")), "")
     return callers
 
 
@@ -62,11 +73,16 @@ def test_only_the_packed_basis_and_the_product_call_pack():
     """One owner packs every bracket walk: a second packer (a free function
     in ``brackets``, say) is a fork of the kernel's one per-walk set-up,
     ``_PackedBasis._run``."""
-    found = set()
-    for path in sorted(PACKAGE.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        found |= {(path.stem, name) for name in _pack_callers(tree)}
-    assert found == PACK_CALLERS
+    assert _callers("_pack") == PACK_CALLERS
+
+
+def test_one_pair_loop_and_one_polynomial_reader():
+    """``_PackedBasis.blocks`` serves one pair loop, the closure's, which
+    ``LieClosure.verify`` re-runs: a second caller is a second pair loop.
+    Only the public brackets and the product read a walk as a polynomial
+    (``poly._unpack``); every other reader takes its integer blocks."""
+    assert _callers("blocks", method=True) == {("closure", "_close")}
+    assert _callers("_unpack") == UNPACK_CALLERS
 
 
 def _float_imports(tree: ast.AST) -> list[ast.stmt]:
