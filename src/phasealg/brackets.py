@@ -44,7 +44,10 @@ is empty, and a composition of k is complete once the budget is spent or
 the last slot is filled.  There, for odd k, A's surviving numerators are
 scaled by (-1)^((k-1)/2) (hbar/2)^(k-1) over one denominator shared by
 every k and multiplied out into one integer dict keyed by packed
-exponents; unpacking it builds one Fraction per distinct numerator.
+exponents.  A polynomial's numerators go into the walk as they are, over
+its one denominator, and the walk's integers come out as a polynomial's
+numerators over the product of the denominators, divided once by their
+gcd: a bracket builds no ``Fraction``.
 
 One walk takes a list of left operands, packed in one layout over their
 own denominators, each term's keys tagged with its index in a field above
@@ -67,20 +70,20 @@ other walk is read in one form, one integer block ``{exponents:
 numerator}`` per element (``poly._tagged``), decoding each distinct
 monomial once: ``_PackedBasis.blocks`` (the closure's pair loop),
 ``_PackedBasis.walk`` (the invariant rows) and ``_brackets_of``
-(``bracket(a, T)`` as polynomials, for ``verify_invariant`` and
-``verify_canonical``).
+(``bracket(a, T)`` as polynomials, each block negated in integers, for
+``verify_invariant`` and ``verify_canonical``).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from operator import add
 from struct import Struct
 from typing import Iterable
 
 from .context import PhaseContext
-from .poly import Expvec, Packed, PhasePoly, _layout, _maxima, _pack, _product_into, _tagged, _units, _unpack
+from .poly import (Expvec, Packed, PhasePoly, _canonical, _layout, _maxima, _pack, _product_into, _tagged,
+                   _units, _unpack)
 
 
 def poisson_bracket(a: PhasePoly, b: PhasePoly) -> PhasePoly:
@@ -95,9 +98,9 @@ def moyal_bracket(a: PhasePoly, b: PhasePoly) -> PhasePoly:
 
 def _brackets_of(a: PhasePoly, terms: list[PhasePoly], moyal: bool) -> list[PhasePoly]:
     """``bracket(a, T)`` for each ``T`` in ``terms``, in order, from one walk of
-    ``bracket(T, a)``, each numerator negated as its ``Fraction`` is built."""
+    ``bracket(T, a)``, each block's numerators negated over its denominator."""
     blocks, dens = _PackedBasis(a.ctx, moyal, terms).walk(a)
-    return [PhasePoly._build(a.ctx, {e: Fraction(-n, den) for e, n in block.items()})
+    return [_canonical(a.ctx, {e: -n for e, n in block.items()}, den)
             for block, den in zip(blocks, dens)]
 
 
@@ -185,9 +188,9 @@ class _PackedBasis:
             self.packed += packed
             self.dens += dens
         terms_a = self.packed
-        if own:   # polys[n] is packed[start:start + len(b._terms)], tagged n
-            start, tag = sum([len(p._terms) for p in self.polys[:n]]), n << 8 * layout.size
-            terms_b = [(k - tag, c, e) for k, c, e in terms_a[start:start + len(b._terms)]]
+        if own:   # polys[n] is packed[start:start + len(b._nums)], tagged n
+            start, tag = sum([len(p._nums) for p in self.polys[:n]]), n << 8 * layout.size
+            terms_b = [(k - tag, c, e) for k, c, e in terms_a[start:start + len(b._nums)]]
             terms_a, den_b = terms_a[:start], self.dens[n]
         else:
             terms_b, (den_b,) = _pack([b], layout)

@@ -19,11 +19,15 @@ again only when a walk needs wider fields.  ``close_algebra`` runs it on
 its validated seeds; ``LieClosure.verify`` runs it on the closure's own
 basis, and a closure verifies when it is a fixed point of that loop.  The
 loop, and ``span_reduce``, reduce term maps through ``linsolve.Echelon``,
-pivoting on the graded-lex leading monomial.  The loop hands it each
-bracket as the kernel's integer numerators over one denominator, so a
-``Fraction`` is built only for a structure constant and for an admitted
-element.  It asks only for each bracket's remainder and keeps the bracket;
-the structure constants are its coordinates, which are unique because the
+pivoting on the graded-lex leading monomial.  Every row goes to it in
+integers: a bracket as the kernel's numerators over one denominator, a
+seed or a basis element as its polynomial's, so a ``Fraction`` is built
+only in the echelon's stored rows and for a structure constant.  The loop
+hands each bracket to ``Echelon.admit``, which reduces it once and, when
+it leaves the span, stores its remainder scaled to lead 1 as the new
+element itself; a seed is stored through ``Echelon.add``, with its
+coordinates, since it joins as given.  The loop keeps every bracket: the
+structure constants are its coordinates, which are unique because the
 basis is linearly independent, so they are read after the loop, against
 the final echelon, in one batch (``Echelon.coordinates``).  A run that
 stops with ``NonClosingError`` reads no coordinates.
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .brackets import _PackedBasis
 from .context import PhaseContext
@@ -49,7 +53,7 @@ class AlgebraElement:
     is_identity: bool = False
 
 
-def _leading(terms: dict[Expvec, Fraction]) -> Expvec:
+def _leading(terms: Mapping[Expvec, object]) -> Expvec:
     """Pivot of a closure row: its graded-lex leading monomial."""
     return max(terms, key=_grlex_key)
 
@@ -76,10 +80,10 @@ def span_reduce(
     span = Echelon(_leading)
     for j, elem in enumerate(basis):
         p.ctx.require_same(elem.poly.ctx)
-        span.add(elem.poly._terms, j)
-    (coords,) = span.coordinates([(p._terms, None)])
-    rem = span.remainder(p._terms)
-    return [coords.get(i, Fraction(0)) for i in range(len(basis))], PhasePoly._build(p.ctx, rem)
+        span.add(elem.poly._nums, j, elem.poly._den)
+    (coords,) = span.coordinates([(p._nums, p._den)])
+    rem = span.remainder(p._nums, p._den)
+    return [coords.get(i, Fraction(0)) for i in range(len(basis))], PhasePoly(p.ctx, rem)
 
 
 @dataclass
@@ -205,36 +209,30 @@ def _close(ctx: PhaseContext, moyal: bool, seeds: Sequence[AlgebraElement], max_
                 names_seen.add(name)
                 return name
 
-    def admit(rem: dict[Expvec, Fraction], seed: AlgebraElement | None = None,
-              pair: tuple[str, str] | None = None) -> None:
-        """Append ``seed``, else ``rem`` scaled to lead 1 (the identity if ``rem``
-        is constant), or raise ``NonClosingError`` if the basis is full.  The
-        echelon gets the element's own polynomial, so its row's coordinates
-        are over the basis as stored."""
+    def append(elem: AlgebraElement, pair: tuple[str, str] | None = None) -> None:
+        """Append ``elem``, or raise ``NonClosingError`` if the basis is full."""
         if len(basis) >= max_basis:
-            reason = f"seed {seed.name!r} exceeds" if seed else "basis size exceeds"
+            reason = "basis size exceeds" if pair else f"seed {elem.name!r} exceeds"
             raise NonClosingError(f"{reason} max_basis {max_basis}", pair, len(basis))
-        head = _leading(rem)
-        lead = rem[head]
-        identity = not any(head)
-        if seed and not identity:
-            elem = AlgebraElement(seed.name, seed.poly)
-        else:
-            name = seed.name if seed else "1" if identity else fresh_name()
-            scaled = PhasePoly._build(ctx, {e: c / lead for e, c in rem.items()})
-            elem = AlgebraElement(name, scaled, is_identity=identity)
-        ech.add(elem.poly._terms, len(basis))
         walks.append(elem.poly)
         basis.append(elem)
 
     for seed in seeds:
-        terms = seed.poly._terms
+        nums, den = seed.poly._nums, seed.poly._den
         # the rows are reduced, so a leading monomial that is no pivot leads the
-        # remainder too, all that admit reads of it (a constant is its own)
-        if terms and _leading(terms) not in ech.rows:
-            admit(terms, seed)
-        elif rem := ech.remainder(terms):
-            admit(rem, seed)
+        # remainder too, all that is read of it (a constant is its own)
+        head = _leading(nums) if nums else None
+        if head in ech.rows:
+            rem = ech.remainder(nums, den)
+            head = _leading(rem) if rem else None
+        if head is None:
+            continue
+        # a constant seed joins as the identity, 1; the echelon gets the
+        # element's own polynomial, so its row's coordinates are over the basis
+        elem = (AlgebraElement(seed.name, seed.poly) if any(head)
+                else AlgebraElement(seed.name, PhasePoly.constant(ctx, 1), is_identity=True))
+        append(elem)
+        ech.add(elem.poly._nums, len(basis) - 1, elem.poly._den)
 
     rows: dict[tuple[int, int], tuple[dict[Expvec, int], int]] = {}   # the nonzero brackets
     j = 1
@@ -247,8 +245,12 @@ def _close(ctx: PhaseContext, moyal: bool, seeds: Sequence[AlgebraElement], max_
             if (degree := max(map(sum, br))) > max_degree:
                 reason = f"bracket degree {degree} exceeds max_degree {max_degree}"
                 raise NonClosingError(reason, pair, len(basis))
-            if rem := ech.remainder(br, den):
-                admit(rem, pair=pair)
+            # a generated element is its remainder scaled to lead 1, which the
+            # echelon stores as that element from its one reduction
+            if rem := ech.admit(br, len(basis), den):
+                identity = not any(_leading(rem))
+                name = "1" if identity else fresh_name()
+                append(AlgebraElement(name, PhasePoly(ctx, rem), identity), pair)
             rows[i, j] = br, den
         j += 1
     return basis, _structure(ech, rows)

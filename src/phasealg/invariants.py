@@ -25,13 +25,14 @@ width its walks need, and one walk per seed (``_PackedBasis.walk``)
 brackets every ansatz term with it, under either bracket and at any hbar,
 so no bracket is taken per term.  The system is integer from the kernel
 to the nullspace: the walk's integer blocks, one per ansatz term, each
-scaled to one denominator per seed, are the rows, and ``nullspace``
-eliminates in integers, so ``Fraction``s are built only in the solutions.
-The one contract left is row order (seed, ansatz term,
-graded-lex-descending monomial): ``_rows`` sorts each block's unordered
-monomials, because ``nullspace``'s output depends on the order while its
-elimination's defect stands.  Each solution is scaled and summed over its
-nonzero entries only.
+scaled to one denominator per seed, are the rows, and ``nullspace`` takes
+them as they are and eliminates in integers, so ``Fraction``s are built
+only in the solution vectors.  The one contract left is row order (seed,
+ansatz term, graded-lex-descending monomial): ``_rows`` sorts each
+block's unordered monomials, because ``nullspace``'s output depends on the
+order while its elimination's defect stands.  Each solution is scaled and
+summed over its nonzero entries only, as one integer sum of the ansatz
+terms' numerators over a common denominator (``poly._combination``).
 
 ``verify_invariant`` stays an independent check against the full basis,
 with its brackets as polynomials from one walk (``brackets._brackets_of``).
@@ -51,8 +52,8 @@ from typing import Sequence
 from .brackets import _PackedBasis, _brackets_of
 from .closure import LieClosure
 from .errors import AnsatzTooLargeError
-from .linsolve import nullspace, sub_scaled
-from .poly import Expvec, PhasePoly, _grlex_key
+from .linsolve import nullspace
+from .poly import Expvec, PhasePoly, _combination, _grlex_key, _wrap
 
 # The most monomials a ``find_center`` ansatz may have.
 MAX_ANSATZ_MONOMIALS = 5000
@@ -134,21 +135,19 @@ def _solve(terms: Sequence[PhasePoly], closure: LieClosure):
     bracket kernel in the one order ``nullspace``'s output depends on while
     its elimination's defect stands; one column per ansatz term.  A row's
     scale changes no solution, so the rows go to ``nullspace`` as they are,
-    and ``Fraction``s are built only in the solutions.  Returns, per
+    and ``Fraction``s are built only in the solution vectors.  Returns, per
     nullspace vector, the vector scaled so its first nonzero entry is 1, and
-    its polynomial ``sum_u x_u T_u``.  Only the nonzero entries are scaled
-    and summed: a vector is mostly zeros.
+    its polynomial ``sum_u x_u T_u``, summed in integers.  Only the nonzero
+    entries are scaled and summed: a vector is mostly zeros.
     """
     solutions = []
     rows, _ = _rows(terms, closure)
     for vec in nullspace(list(rows.values()), len(terms)):
         support = [u for u, v in enumerate(vec) if v]
         lead = vec[support[0]]
-        acc: dict[Expvec, Fraction] = {}
         for u in support:
             vec[u] /= lead
-            sub_scaled(acc, terms[u]._terms, -vec[u])
-        solutions.append((vec, PhasePoly._build(closure.ctx, acc)))
+        solutions.append((vec, _combination(closure.ctx, [(vec[u], terms[u]) for u in support])))
     return solutions
 
 
@@ -212,9 +211,8 @@ def find_center(closure: LieClosure, max_total_degree: int = 2) -> CenterSolutio
     count = comb(closure.ctx.nvars + max_total_degree, max_total_degree)
     if count > MAX_ANSATZ_MONOMIALS:
         raise AnsatzTooLargeError(f"ansatz needs {count} monomials, cap is {MAX_ANSATZ_MONOMIALS}")
-    one = Fraction(1)
-    # enumerated exponent tuples are canonical terms already
-    terms = [PhasePoly._build(closure.ctx, {m: one})
+    # enumerated exponent tuples with numerator 1 over 1 are canonical already
+    terms = [_wrap(closure.ctx, {m: 1}, 1)
              for m in monomials_up_to_degree(closure.ctx, max_total_degree)]
     sols = tuple(poly for _, poly in _solve(terms, closure))
     return CenterSolution(solutions=sols, degree=max_total_degree)

@@ -4,24 +4,31 @@ Rows are sparse ``{column: value}`` maps.  ``Echelon`` (closure, span
 reduction, ``invert``) keeps its rows fully reduced.  ``_integer_rref``,
 read only by ``nullspace``, does not (see there), so ``nullspace`` can
 return a vector that breaks a row.  Both engines reduce integer rows, and
-``_integer_row`` is the one conversion of a row of rationals.  Both are
-deterministic: identical inputs give identical outputs.
+``_integer_row`` is the one conversion of a row of rationals, read only
+here: a polynomial hands its rows over as integers already (its
+numerators over its one denominator), and ``nullspace`` takes a row of
+nonzero ``int``s as given.  Both are deterministic: identical inputs give
+identical outputs.
 
 ``Echelon`` reads a row against its span in two halves, each one integer
 linear combination of the stored rows: ``remainder`` gives the part off the
 span, ``coordinates`` the part in it, for a batch of rows at once.  Both
 take a row as integer numerators over one denominator, as the bracket
-kernel gives it, so closure and ``verify`` hand them each bracket with no
-``Fraction`` per term; a ``Fraction`` row (the seeds, an admitted element,
-``span_reduce``, ``invert``) is converted once.  Coordinates are read once
-per batch, from a table of the stored coordinates over one denominator per
-coordinate column, so closure and ``verify`` read every structure constant
-after their pair loop, and a closure that stops early reads none.
-``remainder``, ``coordinates`` and ``sub_scaled`` build a ``Fraction``
-only per output entry, so the gcd that normalizes a ``Fraction`` runs once
-per entry, not once per arithmetic operation; ``sub_scaled`` with factor
--1 (a sum) builds none for an entry new to the row, which keeps the other
-operand's ``Fraction``.
+kernel and a polynomial give it, so closure, ``verify`` and
+``span_reduce`` hand them their rows with no ``Fraction`` per term; a
+``Fraction`` row (``invert``'s) is converted once.  ``admit`` stores a
+row's remainder as a new input from the one reduction, for the closure's
+generated elements.  Coordinates are read once per batch, from a table of
+the stored coordinates over one denominator per coordinate column, so
+closure and ``verify`` read every structure constant after their pair
+loop, and a closure that stops early reads none.  ``remainder``,
+``coordinates`` and ``sub_scaled`` build a ``Fraction`` only per output
+entry, so the gcd that normalizes a ``Fraction`` runs once per entry, not
+once per arithmetic operation; ``sub_scaled`` with factor -1 (a sum)
+builds none for an entry new to the row, which keeps the other operand's
+``Fraction``.  ``sub_scaled`` reads only ``Fraction`` rows: the stored
+rows and coordinates of ``Echelon``, and the structure-constant tables of
+``closure.LieClosure.check_jacobi_tensor``.
 """
 
 from __future__ import annotations
@@ -86,15 +93,17 @@ class Echelon:
 
     ``rows`` maps each pivot column to ``(row, coords)``: the row has
     coefficient 1 at its pivot and 0 at every other pivot column, and
-    ``coords`` expresses it over the keys passed to ``add``.  ``head``
-    picks the pivot of a new row among its columns (default: the smallest).
+    ``coords`` expresses it over the keys passed to ``add`` and ``admit``.
+    ``head`` picks the pivot of a new row among its columns (default: the
+    smallest).
 
-    ``remainder``, ``coordinates`` and ``add`` take a row as integer
-    numerators over one denominator ``den``, as the bracket kernel gives it
-    (``brackets._PackedBasis.blocks``).  Without ``den`` the row holds
-    rationals and is converted once (``_integer_row``).  Because of the
-    reduced form, reducing a row is one linear combination: the factor for
-    pivot ``c`` is the row's own entry there, so
+    ``remainder``, ``coordinates``, ``add`` and ``admit`` take a row as
+    integer numerators over one denominator ``den``, as the bracket kernel
+    (``brackets._PackedBasis.blocks``) and a polynomial (its numerators and
+    denominator) give it.  Without ``den`` the row holds rationals and is
+    converted once (``_integer_row``).  Because of the reduced form,
+    reducing a row is one linear combination: the factor for pivot ``c`` is
+    the row's own entry there, so
 
         rem = row off the pivots - sum_c row[c] * rows[c],
         coords = sum_c row[c] * coords[c].
@@ -102,8 +111,8 @@ class Echelon:
     The two halves are read apart.  ``remainder`` sums the first in
     integers, over ``den`` times a running lcm per output entry, from each
     stored row kept off its pivot as ``(column, numerator, denominator)``
-    triples, built on first use and dropped when ``add`` back-substitutes
-    into the row.  Down one column the denominators mostly divide one
+    triples, built on first use and dropped when a new row is
+    back-substituted into it.  Down one column the denominators mostly divide one
     another (across a row they do not: one denominator per row grows to
     thousands of bits on an sp(6) closure).  A row in the span builds no
     ``Fraction``.
@@ -117,7 +126,8 @@ class Echelon:
     coordinates, and a caller can read them after its last ``add``, against
     the final rows: closure and ``verify`` read every structure constant in
     one batch.  ``add`` reads a new row's coordinates the same way, as a
-    batch of one row, and only when the row reaches a stored row.
+    batch of one row, and only when the row reaches a stored row; ``admit``
+    reads none, since the row it stores is its own input.
     """
 
     def __init__(self, head: Callable[[dict], Hashable] = min):
@@ -194,23 +204,24 @@ class Echelon:
             out.append({keys[i]: Fraction(n, den * dens[i]) for i, n in enumerate(acc) if n})
         return out
 
-    def add(self, row: Mapping, key: Hashable, den: int | None = None) -> bool:
-        """Add input ``row`` under ``key``; False if it already lies in the span.
-
-        Its remainder, scaled to 1 at its pivot, is back-substituted into the
-        stored rows, which keeps the form reduced.
-        """
+    def _lead_one(self, row: Mapping, den: int | None) -> tuple | None:
+        """``row``'s remainder scaled to 1 at its pivot, or None when ``row``
+        lies in the span.  Returns ``(pivot, remainder, hits, den, inv)``,
+        with ``hits`` and ``den`` those of ``_reduce`` and ``inv`` the factor
+        that scaled the remainder: the input's coordinate on itself."""
         den, rem_n, rem_d, hits = self._reduce(row, den)
         rem_n = {c: n for c, n in rem_n.items() if n}
         if not rem_n:
-            return False
+            return None
         pivot = self.head(rem_n)
         # the pivot entry is lead / (den * lead_den): divide every entry by it
         lead, lead_den = rem_n[pivot], rem_d[pivot]
         rem = {c: Fraction(n * lead_den, rem_d[c] * lead) for c, n in rem_n.items()}
-        inv = Fraction(den * lead_den, lead)   # the input's coordinate: 1 / the pivot entry
-        coords = {k: -c * inv for k, c in self.coordinates([(hits, den)])[0].items()} if hits else {}
-        coords[key] = inv
+        return pivot, rem, hits, den, Fraction(den * lead_den, lead)
+
+    def _store(self, pivot: Hashable, rem: dict, coords: dict) -> None:
+        """Back-substitute ``rem``, 1 at ``pivot`` and 0 at every other pivot,
+        into the stored rows, which keeps the form reduced, and store it."""
         for col, (prow, pcoords) in self.rows.items():
             factor = prow.pop(pivot, None)
             if factor:
@@ -218,7 +229,37 @@ class Echelon:
                 sub_scaled(pcoords, coords, factor)
                 self._packed.pop(col, None)
         self.rows[pivot] = (rem, coords)
+
+    def add(self, row: Mapping, key: Hashable, den: int | None = None) -> bool:
+        """Add input ``row`` under ``key``; False if it already lies in the span.
+
+        Its remainder, scaled to 1 at its pivot, is back-substituted into the
+        stored rows, with its coordinates over the inputs.
+        """
+        scaled = self._lead_one(row, den)
+        if scaled is None:
+            return False
+        pivot, rem, hits, den, inv = scaled
+        coords = {k: -c * inv for k, c in self.coordinates([(hits, den)])[0].items()} if hits else {}
+        coords[key] = inv
+        self._store(pivot, rem, coords)
         return True
+
+    def admit(self, row: Mapping, key: Hashable, den: int | None = None) -> dict | None:
+        """Store ``row``'s remainder, scaled to 1 at its pivot, as the input
+        under ``key`` itself, its coordinates ``{key: 1}``, and return it;
+        None when ``row`` lies in the span.
+
+        One reduction serves a caller whose new element is that remainder,
+        as the closure's generated elements are: ``add`` of the returned
+        row would reduce it a second time, to the same row.
+        """
+        scaled = self._lead_one(row, den)
+        if scaled is None:
+            return None
+        pivot, rem = scaled[:2]
+        self._store(pivot, rem, {key: Fraction(1)})
+        return rem
 
 
 def _eliminate(row: dict, prow: Mapping, factor: int, col: int) -> None:
@@ -267,8 +308,10 @@ def _integer_rref(rows) -> dict[int, dict[int, int]]:
     ``tests/test_linsolve.py::test_nullspace_vectors_solve_every_row``; the
     fix changes a pinned benchmark answer).
 
-    The elimination is fraction-free (cf. Bareiss 1968).  Each input row is
-    scaled by the lcm of its denominators (``_integer_row``).  A new row is
+    The elimination is fraction-free (cf. Bareiss 1968).  A row of nonzero
+    ``int``s, as ``invariants`` builds them, is taken as it is (copied, so
+    no input is modified); any other row is scaled by the lcm of its
+    denominators (``_integer_row``).  A new row is
     reduced up to scale, divided by its content after each step, because
     scaling a row scales its reduction.  A stored row is exact as integers
     over one denominator, its own entry at its pivot: it holds no column
@@ -282,7 +325,8 @@ def _integer_rref(rows) -> dict[int, dict[int, int]]:
     pivots: dict[int, dict[int, int]] = {}
     holders: dict[int, set[int]] = {}
     for raw in rows:
-        row, _ = _integer_row(raw)
+        # a row of nonzero ints is taken as given, copied: it is reduced in place
+        row = dict(raw) if all(type(v) is int and v for v in raw.values()) else _integer_row(raw)[0]
         while row:
             _primitive(row)
             col = min(row)

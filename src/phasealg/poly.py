@@ -5,49 +5,60 @@ bracket results: a sparse map from exponent vectors (length 2D, ordered
 q1..qD, p1..pD) to nonzero rational coefficients.  Values are immutable;
 every operation returns a fresh polynomial in canonical form.
 
+A polynomial is stored as its content and its primitive integer part, the
+standard form over Q: nonzero integer numerators ``_nums`` keyed by
+exponents, over one denominator ``_den > 0``, with ``gcd(_den, *_nums)``
+equal to 1 (the zero polynomial is ``{}`` over 1).  The form is canonical,
+so equality compares numerators and denominator.  Arithmetic stays in
+integers: a sum or difference is one integer sum over the lcm of the two
+denominators, a product or bracket is the kernel's integer output, and
+each result is divided once by its gcd (``_canonical``).  A ``Fraction``
+is built only where a coefficient is read: ``term_items`` (one per
+distinct numerator), ``coefficient`` and ``constant_value``;
+``format_poly`` reduces each term with one ``gcd`` instead.
+
 Serialized forms (``str``, reports) list terms in graded-lexicographic
 order, highest first: total degree decides, ties break lexicographically
 on the exponent vector with q1 most significant.
 
-Each job has one implementation.  Sums and differences, and the sum that
-``substitute`` accumulates, go through ``linsolve.sub_scaled``; a variable
-given by name or index becomes an exponent vector in ``_var_exps``;
-``partial_derivative`` is ``derivative_multi`` of a unit vector; each
-variable's largest exponent comes from ``_maxima``.
+Each job has one implementation.  Every sum of scaled polynomials
+(``substitute``'s, an invariant search's solutions) is ``_combination``;
+a variable given by name or index becomes an exponent vector in
+``_var_exps``; ``partial_derivative`` is ``derivative_multi`` of a unit
+vector; each variable's largest exponent comes from ``_maxima``.
 
 Products and brackets run on a packed form: each exponent vector becomes
 one int with a byte-aligned field per variable, all fields of one width
-(1, 2, 4 or 8 bytes), and the coefficients become int numerators over
+(1, 2, 4 or 8 bytes), and the numerators are taken as they are, over
 their operand's denominator; several operands share one list by a tag
 above the fields.  A product packs its operands per call; every bracket
 walk packs through one owner, ``brackets._PackedBasis``, whose basis stays
 packed across its walks.  Each layout (``struct.Struct``) and its unit
 keys are built once per process and shared.  Packing and unpacking a term
 is one ``struct`` call each way.  The format belongs to this module:
-``_unpack`` reads a result as a polynomial, with ``Fraction`` built once
-per distinct numerator, and ``_tagged`` reads a tagged one as one
-integer block per operand, decoding each distinct monomial once, which
-only ``brackets`` takes.  An exponent a call could reach that needs more
-than 64 bits raises ``OverflowError``.
+``_unpack`` reads a result as a polynomial, decoding its keys and dividing
+once by the gcd of denominator and numerators, and ``_tagged`` reads a
+tagged one as one integer block per operand, decoding each distinct
+monomial once, which only ``brackets`` takes.  An exponent a call could
+reach that needs more than 64 bits raises ``OverflowError``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import gcd, lcm
+from operator import index
 from struct import Struct
 from typing import Iterable, Mapping
 
 from .context import PhaseContext
-from .linsolve import sub_scaled
 from .rational import rat
 
 Expvec = tuple[int, ...]
 Packed = list[tuple[int, int, Expvec]]   # (packed exponents, integer numerator, exponents)
 _WIDTHS = {"B": 1, "H": 2, "I": 4, "Q": 8}   # struct code -> bytes per packed field
 _CODES = "BBHIIQQQQ"   # _CODES[n]: the narrowest field that holds n bytes, n = 0..8
-_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
 
 
 def _grlex_key(exps: Expvec) -> tuple[int, Expvec]:
@@ -61,7 +72,7 @@ def _grlex_item(item: tuple[Expvec, Fraction]) -> tuple[int, Expvec]:
 
 def _maxima(*polys: "PhasePoly") -> list[int]:
     """Largest exponent of each variable over the terms of ``polys``."""
-    exps = polys[0]._terms if len(polys) == 1 else [e for p in polys for e in p._terms]
+    exps = polys[0]._nums if len(polys) == 1 else [e for p in polys for e in p._nums]
     return list(map(max, zip(*exps))) or [0] * polys[0].ctx.nvars
 
 
@@ -114,33 +125,28 @@ def _units(layout: Struct) -> tuple[int, ...]:
 
 
 def _pack(polys: list["PhasePoly"], layout: Struct, first: int = 0) -> tuple[Packed, list[int]]:
-    """The terms of ``polys`` in packed form, in order, and each one's
-    denominator; the keys of ``polys[u]`` carry the tag ``first + u`` in a
-    field above the top exponent field (tag 0: plain packed exponents)."""
+    """The terms of ``polys`` in packed form, in order, with their numerators
+    as they are, and each one's denominator; the keys of ``polys[u]`` carry
+    the tag ``first + u`` in a field above the top exponent field (tag 0:
+    plain packed exponents)."""
     step = 1 << 8 * layout.size
     pack, tag = layout.pack, first * step
     packed: Packed = []
-    dens = []
     for p in polys:
-        den = lcm(*[c.denominator for c in p._terms.values()])
-        packed += [(int.from_bytes(pack(*exps), "little") + tag,
-                    c.numerator * (den // c.denominator), exps) for exps, c in p._terms.items()]
-        dens.append(den)
+        packed += [(int.from_bytes(pack(*exps), "little") + tag, num, exps)
+                   for exps, num in p._nums.items()]
         tag += step
-    return packed, dens
+    return packed, [p._den for p in polys]
 
 
 def _unpack(ctx: PhaseContext, acc: Mapping[int, int], layout: Struct, den: int) -> "PhasePoly":
-    """The polynomial sum of ``acc[key] / den * x^key`` over packed keys.
-
-    One ``Fraction`` is built per distinct nonzero numerator and shared by
-    every term that has it (a ``Fraction`` is immutable).
-    """
-    shared = {num: Fraction(num, den) for num in set(acc.values()) if num}
+    """The polynomial sum of ``acc[key] / den * x^key`` over packed keys: the
+    keys decoded, and numerators and ``den`` divided by their gcd, in one
+    pass."""
     size, unpack = layout.size, layout.unpack
-    return PhasePoly._build(ctx, {
-        unpack(key.to_bytes(size, "little")): shared[num] for key, num in acc.items() if num
-    })
+    g = gcd(den, *acc.values())
+    return _wrap(ctx, {unpack(key.to_bytes(size, "little")): num // g
+                       for key, num in acc.items() if num}, den // g)
 
 
 def _tagged(acc: Mapping[int, int], layout: Struct, n: int) -> list[dict[Expvec, int]]:
@@ -173,37 +179,95 @@ def _product_into(acc: dict[int, int], left: Packed, right: Packed) -> None:
             acc[key] = get(key, 0) + c1 * c2
 
 
-def _combine(a: "PhasePoly", b: "PhasePoly", factor: Fraction) -> "PhasePoly":
-    """``a - factor * b``, zeros dropped, by ``linsolve.sub_scaled``."""
-    terms = dict(a._terms)
-    sub_scaled(terms, b._terms, factor)
-    return PhasePoly._build(a.ctx, terms)
+def _canonical(ctx: PhaseContext, nums: dict[Expvec, int], den: int) -> "PhasePoly":
+    """The polynomial ``sum nums[e] / den * x^e`` for nonzero integer
+    numerators and ``den > 0``, numerators and ``den`` divided by their gcd."""
+    if den != 1 and (g := gcd(den, *nums.values())) != 1:
+        nums = {e: n // g for e, n in nums.items()}
+        den //= g
+    return _wrap(ctx, nums, den)
+
+
+def _wrap(ctx: PhaseContext, nums: dict[Expvec, int], den: int) -> "PhasePoly":
+    """Wrap a form already canonical: right-length tuples of ints, nonzero
+    numerators over ``den > 0``, their gcd with ``den`` 1."""
+    poly = _new(PhasePoly)
+    _set_ctx(poly, ctx)
+    _set_nums(poly, nums)
+    _set_den(poly, den)
+    return poly
+
+
+def _integers(terms: Mapping[Expvec, Fraction]) -> tuple[dict[Expvec, int], int]:
+    """Nonzero ``Fraction`` or ``int`` coefficients as integer numerators over
+    the lcm of their denominators, a canonical form: a prime in that lcm
+    divides some denominator to its full power, and not that numerator."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
+
+
+def _combination(ctx: PhaseContext, pairs: list[tuple[int | Fraction, "PhasePoly"]],
+                 den: int = 1) -> "PhasePoly":
+    """``sum(c * p for c, p in pairs) / den`` for ``int`` or ``Fraction``
+    factors ``c``, summed in integers over the lcm of the terms'
+    denominators and made canonical once."""
+    dens = [c.denominator * p._den for c, p in pairs]
+    common = lcm(*dens)
+    acc: dict[Expvec, int] = {}
+    get = acc.get
+    for (c, p), d in zip(pairs, dens):
+        scale = c.numerator * (common // d)
+        for exps, num in p._nums.items():
+            acc[exps] = get(exps, 0) + scale * num
+    return _canonical(ctx, {e: n for e, n in acc.items() if n}, common * den)
+
+
+def _sum(a: "PhasePoly", b: "PhasePoly", sign: int) -> "PhasePoly":
+    """``a + sign * b`` for ``sign`` 1 or -1: one integer sum over the lcm of
+    the two denominators, zeros dropped, made canonical once."""
+    den_a, den_b = a._den, b._den
+    if den_a == den_b:
+        nums, scale, den = dict(a._nums), sign, den_a
+    else:
+        g = gcd(den_a, den_b)
+        up = den_b // g
+        nums = {e: n * up for e, n in a._nums.items()}
+        scale, den = sign * (den_a // g), den_a * up
+    get = nums.get
+    for exps, num in b._nums.items():
+        if new := get(exps, 0) + num * scale:
+            nums[exps] = new
+        else:
+            del nums[exps]
+    return _canonical(a.ctx, nums, den)
 
 
 class PhasePoly:
-    __slots__ = ("ctx", "_terms")
+    __slots__ = ("ctx", "_nums", "_den")
 
     def __init__(self, ctx: PhaseContext, terms: Mapping[Expvec, Fraction]):
+        """Terms ``{exponents: coefficient}``: each exponent an integer (a numpy
+        integer too, stored as ``int``) and >= 0, each coefficient an ``int``,
+        ``Fraction`` or rational string; zero coefficients are dropped."""
         clean: dict[Expvec, Fraction] = {}
         n = ctx.nvars
         for exps, coeff in terms.items():
             if len(exps) != n:
                 raise ValueError(f"exponent vector {exps} has wrong length for D={ctx.dof}")
-            if any(e < 0 for e in exps):
+            key = exps   # a tuple of ints is kept as it is, not copied
+            if type(exps) is not tuple or not all(type(e) is int for e in exps):
+                try:
+                    key = tuple(map(index, exps))
+                except TypeError:
+                    raise ValueError(f"exponent vector {exps} has a non-integer exponent") from None
+            if min(key) < 0:
                 raise ValueError(f"negative exponent in {exps}")
-            c = rat(coeff)
-            if c != 0:
-                clean[tuple(exps)] = c
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "_terms", clean)
-
-    @classmethod
-    def _build(cls, ctx: PhaseContext, terms: dict[Expvec, Fraction]) -> "PhasePoly":
-        """Wrap terms already in canonical form: right-length tuples, nonzero Fractions."""
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "ctx", ctx)
-        object.__setattr__(poly, "_terms", terms)
-        return poly
+            if c := rat(coeff):
+                clean[key] = c
+        nums, den = _integers(clean)
+        _set_ctx(self, ctx)
+        _set_nums(self, nums)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("PhasePoly is immutable")
@@ -221,7 +285,7 @@ class PhasePoly:
     @classmethod
     def variable(cls, ctx: PhaseContext, var: str | int) -> "PhasePoly":
         """The polynomial q_i or p_i, by name ("q2", "p1", "x3") or index."""
-        return cls(ctx, {_var_exps(ctx, var): Fraction(1)})
+        return cls(ctx, {_var_exps(ctx, var): 1})
 
     @classmethod
     def monomial(cls, ctx: PhaseContext, exps: Iterable[int], coeff=1) -> "PhasePoly":
@@ -230,33 +294,43 @@ class PhasePoly:
     # -- inspection ------------------------------------------------------------
 
     def term_items(self) -> list[tuple[Expvec, Fraction]]:
-        """Terms in graded-lex order, leading term first."""
-        return sorted(self._terms.items(), key=_grlex_item, reverse=True)
+        """Terms in graded-lex order, leading term first, one ``Fraction``
+        built per distinct numerator and shared by every term that has it."""
+        den = self._den
+        shared = {num: Fraction(num, den) for num in set(self._nums.values())}
+        return sorted([(e, shared[num]) for e, num in self._nums.items()],
+                      key=_grlex_item, reverse=True)
 
     def monomials(self) -> tuple[Expvec, ...]:
-        return tuple(sorted(self._terms, key=_grlex_key, reverse=True))
+        return tuple(sorted(self._nums, key=_grlex_key, reverse=True))
 
     def coefficient(self, exps: Expvec) -> Fraction:
-        return self._terms.get(tuple(exps), Fraction(0))
+        num = self._nums.get(tuple(exps))
+        return Fraction(num, self._den) if num else Fraction(0)
 
     def num_terms(self) -> int:
-        return len(self._terms)
+        return len(self._nums)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self._terms)
+        return all(sum(e) == 0 for e in self._nums)
 
     def constant_value(self) -> Fraction:
         """Value of the degree-0 term (the whole value if is_constant())."""
-        return self._terms.get((0,) * self.ctx.nvars, Fraction(0))
+        return self.coefficient((0,) * self.ctx.nvars)
 
     def total_degree(self) -> int:
         """Max term degree; -1 for the zero polynomial."""
-        if not self._terms:
+        if not self._nums:
             return -1
-        return max(sum(e) for e in self._terms)
+        return max(sum(e) for e in self._nums)
+
+    def _part(self, monomials: Iterable[Expvec]) -> "PhasePoly":
+        """The sum of this polynomial's terms at ``monomials``."""
+        nums = self._nums
+        return _canonical(self.ctx, {e: nums[e] for e in monomials}, self._den)
 
     # -- ring operations ---------------------------------------------------------
 
@@ -268,35 +342,40 @@ class PhasePoly:
             return PhasePoly.constant(self.ctx, other)
         return None
 
+    def _scaled(self, num: int, den: int) -> "PhasePoly":
+        """This polynomial times ``num / den``, both nonzero integers."""
+        if den < 0:
+            num, den = -num, -den
+        return _canonical(self.ctx, {e: n * num for e, n in self._nums.items()}, self._den * den)
+
     def __add__(self, other) -> "PhasePoly":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return _combine(self, rhs, _MINUS_ONE)
+        return _sum(self, rhs, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PhasePoly":
-        return PhasePoly._build(self.ctx, {e: -c for e, c in self._terms.items()})
+        return _wrap(self.ctx, {e: -n for e, n in self._nums.items()}, self._den)
 
     def __sub__(self, other) -> "PhasePoly":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return _combine(self, rhs, _ONE)
+        return _sum(self, rhs, -1)
 
     def __rsub__(self, other) -> "PhasePoly":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return _combine(rhs, self, _ONE)
+        return _sum(rhs, self, -1)
 
     def __mul__(self, other) -> "PhasePoly":
         if isinstance(other, (int, Fraction)):
-            c = rat(other)
-            if c == 0:
+            if not other:
                 return PhasePoly.zero(self.ctx)
-            return PhasePoly._build(self.ctx, {e: k * c for e, k in self._terms.items()})
+            return self._scaled(other.numerator, other.denominator)
         if not isinstance(other, PhasePoly):
             return NotImplemented
         self.ctx.require_same(other.ctx)
@@ -311,10 +390,9 @@ class PhasePoly:
 
     def __truediv__(self, other) -> "PhasePoly":
         if isinstance(other, (int, Fraction)):
-            c = rat(other)
-            if c == 0:
+            if not other:
                 raise ZeroDivisionError("division of a polynomial by zero")
-            return self * (Fraction(1) / c)
+            return self._scaled(other.denominator, other.numerator)
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "PhasePoly":
@@ -336,7 +414,7 @@ class PhasePoly:
             other = PhasePoly.constant(self.ctx, other)
         if not isinstance(other, PhasePoly):
             return NotImplemented
-        return self.ctx == other.ctx and self._terms == other._terms
+        return self.ctx == other.ctx and self._den == other._den and self._nums == other._nums
 
     __hash__ = None
 
@@ -350,10 +428,11 @@ class PhasePoly:
     def derivative_multi(self, order: Expvec) -> "PhasePoly":
         """Apply ``d^order[i]/d var_i^order[i]`` for every variable at once.
 
-        Coefficients pick up the falling-factorial factors exactly.
+        Numerators pick up the falling-factorial factors exactly, over the
+        same denominator.
         """
-        terms: dict[Expvec, Fraction] = {}
-        for exps, coeff in self._terms.items():
+        nums: dict[Expvec, int] = {}
+        for exps, num in self._nums.items():
             factor = 1
             new = list(exps)
             for i, k in enumerate(order):
@@ -367,8 +446,8 @@ class PhasePoly:
                     factor *= e - j
                 new[i] = e - k
             if factor:
-                terms[tuple(new)] = coeff * factor
-        return PhasePoly._build(self.ctx, terms)
+                nums[tuple(new)] = num * factor
+        return _canonical(self.ctx, nums, self._den)
 
     # -- substitution -------------------------------------------------------------
 
@@ -378,9 +457,10 @@ class PhasePoly:
         Every variable actually appearing in the polynomial must be mapped;
         otherwise a ``ValueError`` names the lowest-index unmapped one.  Each
         image's powers are built once, up to the variable's largest exponent
-        (``_maxima``), and the products of the terms are summed into one
-        term map by ``linsolve.sub_scaled``.  Used by the canonical-map
-        machinery to rewrite a Hamiltonian in new variables.
+        (``_maxima``), and the products, each times its term's numerator,
+        are summed in integers and divided by the denominator once
+        (``_combination``).  Used by the canonical-map machinery to rewrite
+        a Hamiltonian in new variables.
         """
         powers: dict[int, list[PhasePoly]] = {}
         for i, top in enumerate(_maxima(self)):
@@ -392,14 +472,14 @@ class PhasePoly:
             while len(cache) <= top:
                 cache.append(cache[-1] * images[i])
             powers[i] = cache
-        acc: dict[Expvec, Fraction] = {}
-        for exps, coeff in self._terms.items():
+        pairs = []
+        for exps, num in self._nums.items():
             factors = [powers[i][e] for i, e in enumerate(exps) if e > 0]
             term = factors[0] if factors else PhasePoly.constant(target, 1)
             for factor in factors[1:]:
                 term = term * factor
-            sub_scaled(acc, term._terms, -coeff)
-        return PhasePoly._build(target, acc)
+            pairs.append((num, term))
+        return _combination(target, pairs, self._den)
 
     # -- printing -----------------------------------------------------------------
 
@@ -410,19 +490,30 @@ class PhasePoly:
         return f"PhasePoly({format_poly(self)})"
 
 
+# Each slot's own setter, which ``__setattr__`` leaves open: faster than
+# ``object.__setattr__``, which looks the slot up by name.
+_new = object.__new__
+_set_ctx, _set_nums, _set_den = (PhasePoly.ctx.__set__, PhasePoly._nums.__set__,
+                                 PhasePoly._den.__set__)
+
+
 def format_poly(p: PhasePoly) -> str:
     """Canonical DSL text: graded-lex ordered terms, explicit '*' and '^'.
 
-    The output parses back to an equal polynomial under the same context.
+    Each coefficient is its numerator over the denominator, reduced by one
+    ``gcd``.  The output parses back to an equal polynomial under the same
+    context.
     """
     if p.is_zero():
         return "0"
     names = [p.ctx.var_name(i) for i in range(p.ctx.nvars)]
+    nums, den = p._nums, p._den
     parts: list[str] = []
-    for exps, coeff in p.term_items():
+    for exps in p.monomials():
         factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
-        num, den = coeff.numerator, coeff.denominator
-        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        num = nums[exps]
+        g = gcd(num, den)
+        mag = str(abs(num) // g) if g == den else f"{abs(num) // g}/{den // g}"
         if mag != "1" or not factors:
             factors.insert(0, mag)
         body = "*".join(factors)

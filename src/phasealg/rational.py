@@ -1,10 +1,14 @@
 """Exact rational scalars.
 
-All symbolic coefficients in this package are `fractions.Fraction` values:
-arbitrary-precision, always normalized (gcd(|num|, den) = 1, den > 0,
-zero stored as 0/1), which is exactly the invariant the algebra layer needs.
-This module only adds a conversion helper around it; ``str`` gives the
-canonical text form (``p`` for integers, ``p/q`` otherwise).
+Symbolic coefficients are `fractions.Fraction` values wherever one is
+read: at the API (``PhasePoly.term_items``, ``coefficient``), in structure
+constants, solution vectors and echelon rows.  A ``Fraction`` is
+arbitrary-precision and always normalized (gcd(|num|, den) = 1, den > 0,
+zero stored as 0/1).  A polynomial stores the same invariant for all its
+terms at once, as integer numerators over one denominator whose gcd with
+them is 1 (``poly``), and builds a ``Fraction`` only when one is read.
+This module only adds a conversion helper; ``str`` of a ``Fraction`` gives
+the canonical text form (``p`` for integers, ``p/q`` otherwise).
 """
 
 from __future__ import annotations

@@ -95,7 +95,7 @@ class CanonicalMap:
         for row, coeffs in enumerate(matrix):
             for c in range(d):
                 terms = {_var_exps(ctx, offset + i * d + c): k for i, k in enumerate(coeffs) if k}
-                images[offset + row * d + c] = PhasePoly._build(ctx, terms)
+                images[offset + row * d + c] = PhasePoly(ctx, terms)
         return images
 
     def new_variable_images(self, old_ctx: PhaseContext) -> dict[int, PhasePoly]:
@@ -181,7 +181,7 @@ def kinetic_energy(ctx: PhaseContext, masses: Mapping[int, Fraction], d: int) ->
     """
     terms = {_var_exps(ctx, ctx.dof + row * d + c, 2): 1 / (2 * rat(m))
              for row, m in masses.items() for c in range(d)}
-    return PhasePoly._build(ctx, terms)
+    return PhasePoly(ctx, terms)
 
 
 @dataclass(frozen=True)
@@ -253,21 +253,19 @@ def separate_hamiltonian(h: PhasePoly, cmap: CanonicalMap):
     dof = ctx.dof
     cm_first = cmap.cm_row * cmap.d
     is_cm = [cm_first <= i % dof < cm_first + cmap.d for i in range(ctx.nvars)]
-    cm_terms: dict = {}
-    int_terms: dict = {}
-    mixed = []
-    for exps, coeff in transformed.term_items():
+    cm_terms, int_terms, mixed = [], [], []
+    for exps in transformed.monomials():
         touched = {cm for e, cm in zip(exps, is_cm) if e}
         if touched == {True}:
-            cm_terms[exps] = coeff
+            cm_terms.append(exps)
         elif True not in touched:
-            int_terms[exps] = coeff
+            int_terms.append(exps)
         else:
-            mixed.append(_labeled_term(exps, coeff, cmap))
+            mixed.append(_labeled_term(exps, transformed.coefficient(exps), cmap))
     if mixed:
         raise SeparationFailure(mixed)
-    h_cm = PhasePoly._build(ctx, cm_terms)
-    h_int = PhasePoly._build(ctx, int_terms)
+    h_cm = transformed._part(cm_terms)
+    h_int = transformed._part(int_terms)
 
     total = cmap.total_mass
     free = kinetic_energy(ctx, {cmap.cm_row: total}, cmap.d)
@@ -277,8 +275,8 @@ def separate_hamiltonian(h: PhasePoly, cmap: CanonicalMap):
         m1, m2 = cmap.masses
         reduced = m1 * m2 / total
         # terms in the momenta alone, constants excluded
-        kinetic_part = {e: c for e, c in int_terms.items() if any(e) and not any(e[:dof])}
-        rel_ok = PhasePoly._build(ctx, kinetic_part) == kinetic_energy(ctx, {0: reduced}, cmap.d)
+        kinetic_part = h_int._part([e for e in int_terms if any(e) and not any(e[:dof])])
+        rel_ok = kinetic_part == kinetic_energy(ctx, {0: reduced}, cmap.d)
 
     reassembled = (h_cm + h_int).substitute(cmap.new_variable_images(ctx), ctx)
 

@@ -298,7 +298,7 @@ def test_batched_kernel_matches_single_brackets():
                 blocks, dens = brackets._PackedBasis(s.ctx, moyal, [*terms, s]).blocks(len(terms))
                 assert all(type(n) is int and n for block in blocks for n in block.values())
                 assert [{e: Fraction(n, den) for e, n in block.items()}
-                        for block, den in zip(blocks, dens)] == [bracket(t, s)._terms for t in terms]
+                        for block, den in zip(blocks, dens)] == [dict(bracket(t, s).term_items()) for t in terms]
                 assert brackets._brackets_of(s, terms, moyal) == [bracket(s, t) for t in terms]
 
 
@@ -345,7 +345,7 @@ def test_packed_basis_widens_and_keeps_every_walk():
             blocks, dens = walks.blocks(j)
             sizes.append(walks.layout.size // ctx.nvars)
             assert [{e: Fraction(n, den) for e, n in block.items()} for block, den
-                    in zip(blocks, dens)] == [bracket(polys[i], polys[j])._terms for i in range(j)]
+                    in zip(blocks, dens)] == [dict(bracket(polys[i], polys[j]).term_items()) for i in range(j)]
         assert sizes == [1, 1, 2, 2]
     assert moyal_bracket(polys[0], polys[2]) != poisson_bracket(polys[0], polys[2])
 
@@ -399,7 +399,7 @@ def test_entries_widen_per_seed_and_keep_every_entry(moyal, monkeypatch):
     bracket = moyal_bracket if moyal else poisson_bracket
     for seed, (blocks, dens) in zip(seeds, walks):
         got = [{e: Fraction(n, den) for e, n in block.items()} for block, den in zip(blocks, dens)]
-        assert got == [bracket(t, seed)._terms for t in terms]
+        assert got == [dict(bracket(t, seed).term_items()) for t in terms]
     # the Moyal series has terms past the Poisson one here
     assert any(moyal_bracket(t, s) != poisson_bracket(t, s) for t in terms for s in seeds)
 
@@ -431,4 +431,4 @@ def test_entries_take_a_layout_only_to_widen(monkeypatch):
     assert packed == [len(terms), 1, 1, 1]
     for seed, (blocks, dens) in zip(seeds, walks):
         got = [{e: Fraction(n, den) for e, n in block.items()} for block, den in zip(blocks, dens)]
-        assert got == [poisson_bracket(t, seed)._terms for t in terms]
+        assert got == [dict(poisson_bracket(t, seed).term_items()) for t in terms]

@@ -482,7 +482,7 @@ def reference_close(seeds, bracket_kind="poisson", max_basis=32, max_degree=16):
             else:
                 name = next(n for n in fresh if n not in names_seen)
                 names_seen.add(name)
-            scaled = PhasePoly(ctx, {e: c / lead for e, c in rem._terms.items()})
+            scaled = PhasePoly(ctx, {e: c / lead for e, c in rem.term_items()})
             elem = AlgebraElement(name, scaled, is_identity=identity)
         idx = len(basis)
         basis.append(elem)
@@ -525,7 +525,7 @@ def _outcome(close, seeds, **options):
         cl = close(seeds, **options)
     except NonClosingError as exc:
         return str(exc), exc.pair, exc.basis_size
-    return ([(e.name, e.poly._terms, e.is_identity) for e in cl.basis], cl.structure)
+    return ([(e.name, dict(e.poly.term_items()), e.is_identity) for e in cl.basis], cl.structure)
 
 
 def _random_seeds(rng, ctx):
@@ -692,6 +692,35 @@ def test_capped_closure_builds_no_coordinate_table(monkeypatch):
     assert calls == [nonzero, nonzero]
 
 
+def test_each_element_is_reduced_once(monkeypatch):
+    """Each bracket of the pair loop is reduced once (``Echelon.admit``), and
+    one that leaves the span is stored from that reduction; ``Echelon.add``
+    stores the seeds alone.  On the bundled closures, under both brackets,
+    ``add`` runs once per seed in the basis and ``admit`` once per nonzero
+    bracket (``test_close_algebra_matches_fifo_reference`` checks the
+    closures these runs build)."""
+    calls = {"add": 0, "admit": 0}
+
+    def spy(name):
+        real = getattr(linsolve.Echelon, name)
+
+        def call(self, *args):
+            calls[name] += 1
+            return real(self, *args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(linsolve.Echelon, name, spy(name))
+    for problem in ("nsphere", "cm"):
+        for kind, hbar in (("poisson", 1), ("moyal", Fraction(3, 2))):
+            seeds = _bundled_seeds(problem, hbar)
+            cl = close_algebra(seeds, bracket_kind=kind)
+            names = {seed.name for seed in seeds}
+            nonzero = len({(i, j) for i, j, _ in cl.structure})
+            assert calls == {"add": sum(e.name in names for e in cl.basis), "admit": nonzero}
+            calls.update(add=0, admit=0)
+
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 # Seeds whose brackets first reach an exponent above 127: {A, B} = q1^200,
 # so the walk of g1 needs q1's 100 + 200 in one field and the layout widens
@@ -800,6 +829,6 @@ def test_widening_mid_closure_keeps_every_block(kind, hbar, monkeypatch):
     bracket = moyal_bracket if kind == "moyal" else poisson_bracket
     for j, _, polys, (blocks, dens) in seen:
         assert [{e: Fraction(n, den) for e, n in block.items()} for block, den
-                in zip(blocks, dens)] == [bracket(polys[i], polys[j])._terms for i in range(j)]
+                in zip(blocks, dens)] == [dict(bracket(polys[i], polys[j]).term_items()) for i in range(j)]
     assert cl.verify()
     assert cl.check_jacobi_tensor()

@@ -10,6 +10,10 @@ operands and ``brackets._PackedBasis._run`` packs every bracket walk's.
 every other walk is read as integer blocks (``poly._tagged``); of those,
 ``_PackedBasis.blocks`` has one caller, the closure's pair loop.
 
+A polynomial is integer numerators over one denominator, so the kernel,
+the sums and the readers of a walk build no ``Fraction``; a row of
+rationals is turned into integers only inside ``linsolve``.
+
 numpy and scipy stay inside ``spectra._float_layer``, which the FD solver
 calls when it runs, so importing the package loads neither.
 """
@@ -113,3 +117,53 @@ def test_only_the_float_layer_helper_imports_numpy_and_scipy():
         if lines:
             offenders[str(path.relative_to(PACKAGE))] = lines
     assert offenders == {}
+
+
+# The functions that make a product, a sum or a bracket, what they call to
+# build the result, and the formatter: each works on integer numerators alone.
+INTEGER_ONLY = {
+    "poly": {"_pack", "_unpack", "_tagged", "_product_into", "_canonical", "_wrap", "_sum",
+             "PhasePoly.__add__", "PhasePoly.__sub__", "PhasePoly.__mul__", "PhasePoly._scaled",
+             "format_poly"},
+    "brackets": {"_brackets_of"},
+}
+
+
+def _functions(module: str) -> dict[str, ast.AST]:
+    """Every function of ``module`` by qualified name (``Class.method``)."""
+    found = {}
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                name = f"{scope}.{child.name}" if scope else child.name
+                if isinstance(child, ast.FunctionDef):
+                    found[name] = child
+                visit(child, name)
+
+    visit(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")), "")
+    return found
+
+
+def test_the_kernel_and_the_sums_build_no_fraction():
+    """No call of ``Fraction`` (or of ``rat``, which builds one) inside the
+    packer, the decoders, the product, the sums, the bracket readers and
+    ``format_poly``."""
+    offenders = {}
+    for module, names in INTEGER_ONLY.items():
+        functions = _functions(module)
+        assert names <= set(functions)
+        for name in sorted(names):
+            calls = [node.lineno for node in ast.walk(functions[name]) if isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Name) and node.func.id in ("Fraction", "rat")]
+            if calls:
+                offenders[f"{module}.{name}"] = calls
+    assert offenders == {}
+
+
+def test_only_linsolve_turns_rational_rows_into_integers():
+    """A polynomial hands its numerators over as they are, so the one
+    conversion of a row of rationals, ``linsolve._integer_row``, has callers
+    only in ``linsolve`` (``Echelon`` without a denominator, and
+    ``_integer_rref`` on a row that is not all nonzero ints)."""
+    assert {module for module, _ in _callers("_integer_row", method=True)} == {"linsolve"}

@@ -398,6 +398,72 @@ def test_integer_row_reduces_as_its_fractions(case):
         assert ech.rows == ref.rows
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(integer_row_cases())
+@example(ACCUMULATE_BRANCHES)
+@example(([{0: Fraction(1, 2)}], {0: 4, 1: -4}, 4))
+@example(([{0: Fraction(1, 2)}], {0: 4}, 4))
+def test_admit_stores_the_remainder_as_its_own_input(case):
+    """``admit`` reduces a row once.  In the span it returns None and
+    changes nothing; off it, it stores the row's remainder, scaled to 1 at
+    its pivot, as the input under its key (coordinates ``{key: 1}``) and
+    returns it: the rows ``add`` of the returned row would leave."""
+    stored, nums, den = case
+    for head in (min, max):
+        ech, ref = Echelon(head), Echelon(head)
+        for key, r in enumerate(stored):
+            assert ech.add(r, key) == ref.add(r, key)
+        rem = ref.remainder(nums, den)
+        got = ech.admit(nums, "new", den)
+        if not rem:
+            assert got is None and ech.rows == ref.rows
+            continue
+        pivot = head(rem)
+        scaled = {c: v / rem[pivot] for c, v in rem.items()}
+        assert got == scaled
+        assert ref.add(scaled, "new")
+        assert ech.rows == ref.rows
+        assert ech.rows[pivot] == (scaled, {"new": 1})
+
+
+def test_nullspace_takes_integer_rows_as_given(monkeypatch):
+    """Rows of nonzero ints go into the elimination as they are, with no
+    conversion; rows of ``Fraction``s, rows with a zero entry and mixed
+    rows are converted.  Every form of one system gives the same vectors,
+    and no input row is modified."""
+    import phasealg.linsolve as linsolve
+
+    converted = []
+    real = linsolve._integer_row
+
+    def spy(row):
+        converted.append(row)
+        return real(row)
+
+    monkeypatch.setattr(linsolve, "_integer_row", spy)
+    rng = random.Random(2718)
+    for _ in range(200):
+        ncols = rng.randint(1, 6)
+        ints = [{c: rng.choice([-1, 1]) * rng.randint(1, 9)
+                 for c in rng.sample(range(ncols), rng.randint(1, ncols))}
+                for _ in range(rng.randint(1, 5))]
+        scale = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+        forms = {
+            "ints": ints,
+            "fractions": [{c: v * scale for c, v in row.items()} for row in ints],
+            "zeros": [{**row, ncols - 1: row.get(ncols - 1, 0)} for row in ints],
+            "mixed": [{c: Fraction(v) if c % 2 else v for c, v in row.items()} for row in ints],
+        }
+        copies = {name: [dict(row) for row in rows] for name, rows in forms.items()}
+        converted.clear()
+        want = nullspace(forms["ints"], ncols)
+        assert converted == []
+        for name, rows in forms.items():
+            assert nullspace(rows, ncols) == want, name
+            assert rows == copies[name] and all(type(v) is type(copies[name][i][c])
+                                                for i, row in enumerate(rows) for c, v in row.items())
+
+
 def test_sub_scaled_matches_fraction_arithmetic():
     rng = random.Random(104729)
     for _ in range(200):

@@ -1,6 +1,8 @@
 import random
+import re
 from fractions import Fraction
 
+import numpy
 import pytest
 
 from conftest import kernel_cases, random_poly
@@ -274,3 +276,39 @@ def formatter_cases():
 def test_format_poly_matches_reference():
     for p in formatter_cases():
         assert format_poly(p) == reference_format_poly(p)
+
+
+@pytest.mark.parametrize("exps", [(1.5, 0), (1.0, 0)], ids=["1.5", "1.0"])
+def test_non_integer_exponents_are_refused(exps):
+    """A float exponent, even a whole one, is refused with the vector named:
+    ``q1^1.5`` is no polynomial, and ``q1^1.0`` would compare equal to q1
+    while no packed field can hold it."""
+    with pytest.raises(ValueError, match=re.escape(f"exponent vector {exps} ")):
+        PhasePoly(PhaseContext(1), {exps: 1})
+
+
+def test_integer_like_exponents_are_stored_as_ints():
+    """numpy integers (and bools) index like ints, and are stored as plain
+    ints, so the polynomial equals the one built from ints and brackets."""
+    ctx = PhaseContext(1)
+    q1, p1 = PhasePoly.variable(ctx, "q1"), PhasePoly.variable(ctx, "p1")
+    p = PhasePoly(ctx, {(numpy.int64(1), numpy.uint8(0)): 1, (True, numpy.int32(2)): Fraction(1, 2)})
+    assert p == q1 + q1 * p1**2 / 2
+    assert all(type(e) is int for exps, _ in p.term_items() for e in exps)
+    assert poisson_bracket(p, p1) == 1 + p1**2 / 2
+
+
+def test_canonical_form_is_the_content_and_primitive_part(ctx):
+    """Integer numerators over one positive denominator, their gcd with it 1;
+    the zero polynomial is no numerator over 1.  Equal values built
+    different ways hold the same form."""
+    q1, p2 = PhasePoly.variable(ctx, "q1"), PhasePoly.variable(ctx, "p2")
+    p = Fraction(2, 3) * q1 - Fraction(4, 9) * p2 + 2
+    assert (p._nums, p._den) == ({(1, 0, 0, 0): 6, (0, 0, 0, 1): -4, (0, 0, 0, 0): 18}, 9)
+    assert p.term_items() == [((1, 0, 0, 0), Fraction(2, 3)), ((0, 0, 0, 1), Fraction(-4, 9)),
+                              ((0, 0, 0, 0), Fraction(2))]
+    assert (q1 / 2) * 2 == q1 and ((q1 / 2) * 2)._den == 1
+    zero = p - p
+    assert (zero._nums, zero._den) == ({}, 1) and zero == PhasePoly.zero(ctx)
+    assert p.coefficient((0, 0, 0, 1)) == Fraction(-4, 9) and p.constant_value() == 2
+    assert p.coefficient((0, 1, 0, 0)) == 0

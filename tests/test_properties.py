@@ -4,6 +4,7 @@ maps of ``separation``.  Hypothesis runs derandomized and without an
 example database, so every run draws the same examples."""
 
 from fractions import Fraction
+from math import factorial, gcd, prod
 
 import pytest
 import sympy
@@ -13,8 +14,10 @@ from hypothesis import strategies as st
 from phasealg import (
     PhaseContext,
     PhasePoly,
+    format_poly,
     jacobi_transform,
     moyal_bracket,
+    parse_expression,
     poisson_bracket,
     two_body_transform,
 )
@@ -268,3 +271,134 @@ def test_brackets_invariant_under_canonical_maps(bracket, hbar, cmap, data):
         return p.substitute(images, new)
 
     assert bracket(rewrite(f), rewrite(g)) == rewrite(bracket(f, g))
+
+
+# -- the canonical form ------------------------------------------------------------
+#
+# A polynomial is integer numerators over one denominator > 0 whose gcd with
+# them is 1.  Every operation must return that form, with the value of a
+# plain ``Fraction``-dict reference, text that parses back to it, and the
+# same form as the value built any other way.
+
+
+def fraction_terms(ctx: PhaseContext, max_exp: int = 2, max_terms: int = 4):
+    """A ``{exponents: Fraction}`` dict with no zero coefficient."""
+    exps = st.tuples(*[st.integers(0, max_exp)] * ctx.nvars)
+    return st.dictionaries(exps, COEFFS.filter(bool), max_size=max_terms)
+
+
+def ref_add(*scaled) -> dict:
+    """``sum c * t`` over ``(c, t)`` pairs of plain dicts, zeros dropped."""
+    out: dict = {}
+    for c, terms in scaled:
+        for e, v in terms.items():
+            out[e] = out.get(e, 0) + c * v
+    return {e: v for e, v in out.items() if v}
+
+
+def ref_mul(ta: dict, tb: dict) -> dict:
+    out: dict = {}
+    for ea, ca in ta.items():
+        for eb, cb in tb.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: v for e, v in out.items() if v}
+
+
+def ref_derivative(terms: dict, order) -> dict:
+    out = {}
+    for exps, c in terms.items():
+        factor = 1
+        for e, k in zip(exps, order):
+            for j in range(k):
+                factor *= e - j
+        if factor:
+            out[tuple(e - k for e, k in zip(exps, order))] = c * factor
+    return out
+
+
+def compositions(k: int, n: int):
+    """Every tuple of ``n`` nonnegative ints summing to ``k``."""
+    if n == 1:
+        yield (k,)
+        return
+    for first in range(k + 1):
+        for rest in compositions(k - first, n - 1):
+            yield (first, *rest)
+
+
+def ref_bracket(ctx: PhaseContext, ta: dict, tb: dict, moyal: bool) -> dict:
+    """The sum over odd k of (-1)^((k-1)/2) (hbar/2)^(k-1) Pi^k / k!, with
+    Pi^k / k! = sum over s, t with |s| + |t| = k of
+    (-1)^|t| / (s! t!) d_q^s d_p^t A * d_p^s d_q^t B; k = 1 alone is Poisson."""
+    d = ctx.dof
+    degrees = [max((sum(e) for e in t), default=0) for t in (ta, tb)]
+    half = Fraction(ctx.hbar) / 2
+    scaled = []
+    for k in range(1, (min(degrees) if moyal else 1) + 1, 2):
+        for slots in compositions(k, 2 * d):
+            s, t = slots[:d], slots[d:]
+            weight = Fraction((-1) ** (k // 2 + sum(t)), prod(map(factorial, slots))) * half ** (k - 1)
+            scaled.append((weight, ref_mul(ref_derivative(ta, s + t), ref_derivative(tb, t + s))))
+    return ref_add(*scaled)
+
+
+def assert_canonical(p: PhasePoly, want: dict) -> None:
+    nums, den = p._nums, p._den
+    assert type(den) is int and den > 0 and gcd(den, *nums.values()) == 1
+    assert all(type(n) is int and n for n in nums.values())
+    assert all(type(e) is int for exps in nums for e in exps)
+    assert dict(p.term_items()) == want
+    assert parse_expression(format_poly(p), p.ctx) == p
+    assert PhasePoly(p.ctx, want) == p   # the same form, built from the reference
+
+
+def canonical_cases():
+    def on(ctx):
+        small = fraction_terms(ctx)
+        order = st.tuples(*[st.integers(0, 2)] * ctx.nvars)
+        return st.tuples(st.just(ctx), small, small, COEFFS.filter(bool), order,
+                         st.lists(fraction_terms(ctx, max_exp=1, max_terms=2),
+                                  min_size=ctx.nvars, max_size=ctx.nvars))
+
+    return st.sampled_from(CONTEXTS[:2]).flatmap(on)
+
+
+@PROPERTY
+@given(canonical_cases())
+def test_every_operation_returns_the_canonical_form(case):
+    ctx, ta, tb, c, order, image_terms = case
+    a, b = PhasePoly(ctx, ta), PhasePoly(ctx, tb)
+    assert_canonical(a, ta)
+    assert_canonical(a + b, ref_add((1, ta), (1, tb)))
+    assert_canonical(a - b, ref_add((1, ta), (-1, tb)))
+    assert_canonical(-a, ref_add((-1, ta)))
+    assert_canonical(a * b, ref_mul(ta, tb))
+    assert_canonical(a * c, ref_add((c, ta)))
+    assert_canonical(a / c, ref_add((1 / c, ta)))
+    assert_canonical(a.derivative_multi(order), ref_derivative(ta, order))
+    images = {i: PhasePoly(ctx, t) for i, t in enumerate(image_terms)}
+    want: list = []
+    for exps, coeff in ta.items():
+        term = {(0,) * ctx.nvars: coeff}
+        for i, e in enumerate(exps):
+            for _ in range(e):
+                term = ref_mul(term, image_terms[i])
+        want.append((1, term))
+    assert_canonical(a.substitute(images, ctx), ref_add(*want))
+    assert_canonical(poisson_bracket(a, b), ref_bracket(ctx, ta, tb, False))
+    assert_canonical(moyal_bracket(a, b), ref_bracket(ctx, ta, tb, True))
+
+
+@PROPERTY
+@given(canonical_cases())
+def test_equal_values_built_different_ways_are_equal(case):
+    ctx, ta, tb, c, _, _ = case
+    a, b = PhasePoly(ctx, ta), PhasePoly(ctx, tb)
+    q1 = PhasePoly.variable(ctx, "q1")
+    assert (q1 / 2) * 2 == q1
+    assert (a / c) * c == a == c * (a / c)
+    assert a + b == b + a and (a - b) + b == a and a * 2 == a + a
+    assert a * (b + 1) == a * b + a
+    assert (a - a)._den == 1 and a - a == 0 == PhasePoly.zero(ctx)
+    assert poisson_bracket(a, b) == -poisson_bracket(b, a)
